@@ -239,8 +239,8 @@ fn zone_span(db: &Database, table: &str) -> DbResult<Option<(i32, i32)>> {
 /// stripe axis proves *decomposition invariance* (the same invariance the
 /// distributed fabric leans on), and scale-out parallelism comes from
 /// `distfab`'s co-partitioned shard-local joins over the identical SQL.
-/// Output is byte-identical for every `workers` value and every
-/// `PlanOptions` mode.
+/// Output is byte-identical for every `workers` value and under both
+/// `PlanOptions` evaluators (planned and the `naive()` reference).
 pub fn run_xmatch(
     db: &mut Database,
     spec: &XmatchSpec,

@@ -11,7 +11,6 @@ use crate::mvcc::MvccState;
 use crate::page;
 use crate::row::Row;
 use crate::schema::{Column, Schema};
-use crate::expr::Expr;
 use crate::stats::{TableStats, TaskStats};
 use crate::store::{FileStore, MemStore, PageId, PageStore};
 use crate::value::{DataType, Value};
@@ -1148,23 +1147,6 @@ impl Database {
         Ok(TableStats { rows: self.row_count(name)? })
     }
 
-    /// Scan a table keeping only rows matching `pred` (column positions
-    /// are table positions). Returns the matching rows plus the number of
-    /// rows *examined*, so callers can report how much a pushed-down
-    /// predicate pruned.
-    pub fn scan_filtered(&self, name: &str, pred: &Expr) -> DbResult<(Vec<Row>, u64)> {
-        let mut out = Vec::new();
-        let mut scanned = 0u64;
-        self.scan_with(name, |row| {
-            scanned += 1;
-            if pred.matches(row)? {
-                out.push(row.clone());
-            }
-            Ok(true)
-        })?;
-        Ok((out, scanned))
-    }
-
     /// Open a streaming batched scan over the whole table (clustered
     /// tables in key order, heaps in page order). The scan holds no latch
     /// between batches — like [`Cursor`], each fetch re-descends from the
@@ -1514,16 +1496,6 @@ pub struct ColChunk {
     pub batch: ColumnBatch,
 }
 
-/// One batch fetched by a [`BatchScan`]: the rows that passed the pushed
-/// predicate and the number of stored rows examined to produce them.
-pub struct ScanChunk {
-    /// Rows that passed the predicate (all examined rows when no
-    /// predicate was pushed).
-    pub rows: Vec<Row>,
-    /// Stored rows examined, matching or not — the pruning denominator.
-    pub scanned: u64,
-}
-
 /// A streaming batched table scan: the planner's pull-based leaf operator
 /// (see [`Database::batch_scan`] / [`Database::batch_range_scan`]).
 ///
@@ -1537,99 +1509,11 @@ pub struct BatchScan {
 }
 
 impl BatchScan {
-    /// Fetch up to `max` rows matching `pred` (every row if `None`),
-    /// examining stored rows until the batch is full or the range ends.
-    /// Returns `None` once the scan is exhausted. The predicate runs under
-    /// the buffer-pool latch and therefore must not re-enter the database
-    /// — expression predicates over the row alone, as the planner pushes,
-    /// are always safe.
-    pub fn fetch(
-        &mut self,
-        db: &Database,
-        max: usize,
-        pred: Option<&Expr>,
-    ) -> DbResult<Option<ScanChunk>> {
-        if self.done || max == 0 {
-            self.done = true;
-            return Ok(None);
-        }
-        let table = db.table(&self.table)?;
-        let arity = table.schema.arity();
-        let mut rows: Vec<Row> = Vec::new();
-        let mut scanned = 0u64;
-        match (&mut self.mode, &table.storage) {
-            (BatchMode::Heap { last }, Storage::Heap { file, .. }) => {
-                while rows.len() < max {
-                    match file.next_record(*last)? {
-                        Some((id, bytes)) => {
-                            *last = Some(id);
-                            scanned += 1;
-                            let row = Row::decode(&bytes, arity)?;
-                            if pred.map_or(Ok(true), |p| p.matches(&row))? {
-                                rows.push(row);
-                            }
-                        }
-                        None => {
-                            self.done = true;
-                            break;
-                        }
-                    }
-                }
-            }
-            (BatchMode::Clustered { last_key, lo_key, hi_key }, Storage::Clustered { tree, .. }) => {
-                let lo = match last_key {
-                    Some(k) => Bound::Excluded(k.as_slice()),
-                    None => Bound::Included(lo_key.as_slice()),
-                };
-                let mut newest: Option<Vec<u8>> = None;
-                let mut err = None;
-                let mut filled = false;
-                tree.scan_range_with(lo, Bound::Included(hi_key.as_slice()), |k, payload| {
-                    scanned += 1;
-                    newest = Some(k.to_vec());
-                    let keep = Row::decode(payload, arity).and_then(|row| {
-                        Ok(match pred {
-                            Some(p) => p.matches(&row)?.then_some(row),
-                            None => Some(row),
-                        })
-                    });
-                    match keep {
-                        Ok(Some(row)) => {
-                            rows.push(row);
-                            filled = rows.len() >= max;
-                            !filled
-                        }
-                        Ok(None) => true,
-                        Err(e) => {
-                            err = Some(e);
-                            false
-                        }
-                    }
-                })?;
-                if let Some(e) = err {
-                    return Err(e);
-                }
-                if let Some(k) = newest {
-                    *last_key = Some(k);
-                }
-                if !filled {
-                    self.done = true;
-                }
-            }
-            _ => return Err(DbError::Corrupt("scan/storage kind mismatch".into())),
-        }
-        if scanned == 0 && rows.is_empty() {
-            self.done = true;
-            return Ok(None);
-        }
-        Ok(Some(ScanChunk { rows, scanned }))
-    }
-
     /// Fetch up to `max` stored rows as a column-major batch, decoding
     /// page payloads straight into typed buffers with no per-row `Row`
-    /// materialization — the vectorized pipeline's leaf. Unlike
-    /// [`BatchScan::fetch`] no predicate runs here: filtering happens
-    /// columnwise on the returned batch, so every examined row is in it.
+    /// materialization — the executor's leaf. No predicate runs here:
+    /// filtering happens columnwise on the returned batch, so every
+    /// examined row is in it.
     /// Returns `None` once the scan is exhausted.
     pub fn fetch_columns(&mut self, db: &Database, max: usize) -> DbResult<Option<ColChunk>> {
         if self.done || max == 0 {

@@ -1,20 +1,22 @@
-//! Relational operators.
+//! Whole-`Vec<Row>` relational operators and the state shared with the
+//! streaming executor.
 //!
-//! A compact pull-based operator set: filter, project, nested-loop join,
-//! sort, limit, and grouped aggregation. The MaxBCG stored procedures are
-//! hand-written loops (as stored procedures are), but the query-shaped
-//! steps — the k-correction join of the Filter stage, the region selections
-//! of Figures 4/5, CasJobs user queries — run through these operators, and
-//! the cursor-vs-set ablation uses them as the set-based side.
+//! [`filter`], [`project`], [`nested_loop_join`], [`cross_join`],
+//! [`aggregate`], and [`limit`] are the building blocks of the reference
+//! evaluator (`sql::reference`, selected by `PlanOptions::naive()`): each
+//! takes and returns fully materialized rows, with no batching, no
+//! strategies, and no profiling, so the oracle the planned pipeline is
+//! compared against stays small enough to check by reading.
+//! [`GroupState`], [`TopN`], and [`sort_by_keys`] are shared with the
+//! production executor (`sql::physical`), which feeds them batch by batch.
 
 use crate::error::{DbError, DbResult};
 use crate::expr::Expr;
 use crate::colbatch::ColumnBatch;
-use crate::key::{encode_key, encode_value};
 use crate::row::Row;
 use crate::value::Value;
 use std::cmp::Ordering;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::BinaryHeap;
 use std::sync::OnceLock;
 
 /// Rows dropped by [`filter`] predicates, workspace-wide.
@@ -29,9 +31,9 @@ pub(crate) fn join_pairs() -> &'static obs::Counter {
     C.get_or_init(|| obs::counter("stardb.exec.join_pairs_examined"))
 }
 
-/// Rows produced by [`hash_join`] — the equi-join's output cardinality,
-/// reported alongside the pair counter so the cursor-vs-set ablation can
-/// show how much probing the hash table saved.
+/// Rows produced by hash joins — the equi-join's output cardinality,
+/// reported alongside the pair counter to show how much probing the hash
+/// table saved.
 pub(crate) fn hash_join_rows() -> &'static obs::Counter {
     static C: OnceLock<obs::Counter> = OnceLock::new();
     C.get_or_init(|| obs::counter("stardb.exec.hash_join_rows"))
@@ -93,84 +95,6 @@ pub fn nested_loop_join(left: &[Row], right: &[Row], on: &Expr) -> DbResult<Vec<
     Ok(out)
 }
 
-/// Hash inner equi-join on `left[left_col] == right[right_col]`.
-///
-/// Builds on the right input, probes with the left, and emits rows in
-/// left-major order with right rows in input order — exactly the order
-/// [`nested_loop_join`] produces — so the two operators are
-/// interchangeable wherever the equality is well-typed. Keys are hashed
-/// through their order-preserving key encoding, which never equates
-/// values of different column types; callers (the SQL engine) pick this
-/// operator only when both columns share a `DataType`, leaving
-/// cross-type numeric coercion to the nested loop. NULL keys match
-/// nothing on either side, per SQL three-valued logic.
-pub fn hash_join(left: &[Row], right: &[Row], left_col: usize, right_col: usize) -> Vec<Row> {
-    let mut table = HashTable::build(right.to_vec(), right_col);
-    table.probe(left, left_col)
-}
-
-/// The build side of a hash equi-join, reusable across probe batches so
-/// the streaming executor builds once and probes one left batch at a time.
-///
-/// Keys hash through their order-preserving key encoding, which never
-/// equates values of different column types; callers pick the hash path
-/// only when both columns share a `DataType`. NULL keys are skipped on
-/// both sides, per SQL three-valued logic.
-pub struct HashTable {
-    rows: Vec<Row>,
-    map: HashMap<Vec<u8>, Vec<usize>>,
-    right_arity: usize,
-    /// Probe-key encode buffer, reused across probe rows *and* batches —
-    /// the streaming executor probes thousands of batches through one
-    /// table, and a fresh `Vec` per probe row was pure allocator churn.
-    scratch: Vec<u8>,
-}
-
-impl HashTable {
-    /// Hash `right` on `right_col`. Counts one examined pair per build row.
-    pub fn build(right: Vec<Row>, right_col: usize) -> Self {
-        join_pairs().add(right.len() as u64);
-        let mut map: HashMap<Vec<u8>, Vec<usize>> = HashMap::with_capacity(right.len());
-        for (i, r) in right.iter().enumerate() {
-            let k = &r.0[right_col];
-            if k.is_null() {
-                continue;
-            }
-            map.entry(encode_key(std::slice::from_ref(k))).or_default().push(i);
-        }
-        let right_arity = right.first().map_or(0, Row::arity);
-        HashTable { rows: right, map, right_arity, scratch: Vec::new() }
-    }
-
-    /// Probe with a batch of left rows; emits concatenated rows in
-    /// left-major order with build rows in input order — exactly the order
-    /// [`nested_loop_join`] produces, so the operators are interchangeable.
-    pub fn probe(&mut self, left: &[Row], left_col: usize) -> Vec<Row> {
-        join_pairs().add(left.len() as u64);
-        let arity = left.first().map_or(0, Row::arity) + self.right_arity;
-        let mut out = Vec::with_capacity(left.len());
-        for l in left {
-            let k = &l.0[left_col];
-            if k.is_null() {
-                continue;
-            }
-            self.scratch.clear();
-            encode_value(k, &mut self.scratch);
-            let Some(hits) = self.map.get(self.scratch.as_slice()) else {
-                continue;
-            };
-            for &i in hits {
-                let mut joined = Vec::with_capacity(arity);
-                joined.extend_from_slice(&l.0);
-                joined.extend_from_slice(&self.rows[i].0);
-                out.push(Row(joined));
-            }
-        }
-        hash_join_rows().add(out.len() as u64);
-        out
-    }
-}
-
 /// CROSS JOIN (the paper's `Galaxy CROSS JOIN Kcorr` filter step).
 pub fn cross_join(left: &[Row], right: &[Row]) -> Vec<Row> {
     join_pairs().add((left.len() * right.len()) as u64);
@@ -185,12 +109,6 @@ pub fn cross_join(left: &[Row], right: &[Row]) -> Vec<Row> {
         }
     }
     out
-}
-
-/// Sort by the listed column positions ascending.
-pub fn sort_by_cols(rows: Vec<Row>, cols: &[usize]) -> Vec<Row> {
-    let keys: Vec<(usize, bool)> = cols.iter().map(|&c| (c, false)).collect();
-    sort_by_keys(rows, &keys)
 }
 
 /// Stable sort by `(column, descending)` keys (SQL `ORDER BY`).
@@ -661,52 +579,6 @@ mod tests {
     }
 
     #[test]
-    fn hash_join_matches_nested_loop_on_typed_equality() {
-        let left = rows();
-        let right = vec![
-            Row(vec![Value::Int(2), Value::Float(20.0)]),
-            Row(vec![Value::Int(5), Value::Float(50.0)]),
-            Row(vec![Value::Int(2), Value::Float(21.0)]), // duplicate key
-        ];
-        let on = Expr::Col(2).bin(BinOp::Eq, Expr::Col(3));
-        let slow = nested_loop_join(&left, &right, &on).unwrap();
-        let fast = hash_join(&left, &right, 2, 0);
-        assert_eq!(fast, slow, "hash join must be a drop-in for the nested loop");
-        // i % 3 == 2 for i in {2, 5, 8}, each matching both Int(2) rows.
-        assert_eq!(fast.len(), 6);
-        assert!(fast.iter().all(|r| r.arity() == 5));
-    }
-
-    #[test]
-    fn hash_join_null_keys_match_nothing() {
-        let left = vec![Row(vec![Value::Null]), Row(vec![Value::Int(1)])];
-        let right = vec![Row(vec![Value::Null]), Row(vec![Value::Int(1)])];
-        let out = hash_join(&left, &right, 0, 0);
-        assert_eq!(out.len(), 1, "NULL = NULL is not true in SQL");
-        assert_eq!(out[0], Row(vec![Value::Int(1), Value::Int(1)]));
-    }
-
-    #[test]
-    fn hash_join_of_empty_inputs() {
-        assert!(hash_join(&[], &rows(), 0, 0).is_empty());
-        assert!(hash_join(&rows(), &[], 0, 0).is_empty());
-    }
-
-    #[test]
-    fn hash_join_counts_output_rows() {
-        obs::set_enabled(true);
-        let before = super::hash_join_rows().get();
-        let left = vec![Row(vec![Value::Int(7)])];
-        let right = vec![Row(vec![Value::Int(7)]), Row(vec![Value::Int(7)])];
-        let out = hash_join(&left, &right, 0, 0);
-        assert_eq!(out.len(), 2);
-        assert!(
-            super::hash_join_rows().get() >= before + 2,
-            "hash_join_rows must count emitted rows"
-        );
-    }
-
-    #[test]
     fn cross_join_cardinality() {
         let out = cross_join(&rows(), &rows());
         assert_eq!(out.len(), 100);
@@ -717,7 +589,7 @@ mod tests {
     fn sort_and_limit() {
         let mut r = rows();
         r.reverse();
-        let sorted = sort_by_cols(r, &[2, 0]);
+        let sorted = sort_by_keys(r, &[(2, false), (0, false)]);
         assert_eq!(sorted[0][2], Value::Int(0));
         assert_eq!(sorted[0][0], Value::Int(0));
         let top = limit(sorted, 4);

@@ -1,6 +1,7 @@
 //! Statement dispatch: SELECTs go through the query planner
-//! ([`super::plan`]) and the streaming executor ([`super::physical`]);
-//! DML and DDL bind and run directly.
+//! ([`super::plan`]) and the streaming executor ([`super::physical`]) —
+//! or, under [`PlanOptions::naive`], through the reference evaluator
+//! ([`super::reference`]); DML and DDL bind and run directly.
 //!
 //! EXPLAIN renders the *same* [`super::plan::SelectPlan`] object the
 //! executor runs, so the displayed plan — join strategy, chosen index,
@@ -18,6 +19,7 @@
 use super::ast::*;
 use super::physical::{self, QueryProfile};
 use super::plan::{self, bind, PlanOptions, Scope};
+use super::reference;
 use crate::db::Database;
 use crate::error::{DbError, DbResult};
 use crate::row::Row;
@@ -51,20 +53,21 @@ impl SqlOutput {
     }
 }
 
-/// Parse and execute one SQL statement against `db` with the default
-/// (fully enabled) planner.
+/// Parse and execute one SQL statement against `db` through the planner
+/// and the production executor.
 pub fn execute(db: &mut Database, sql: &str) -> DbResult<SqlOutput> {
     execute_with(db, sql, &PlanOptions::default())
 }
 
-/// Parse and execute one SQL statement with explicit planner options.
-/// Only SELECT / EXPLAIN honor the options; DML and DDL are unaffected.
-/// `PlanOptions::naive()` is the planner-free reference pipeline used by
-/// the plan-correctness corpus and the `sql_plan` ablation bench.
+/// Parse and execute one SQL statement, choosing the SELECT evaluator.
+/// Only SELECT honors `opts`: `PlanOptions::naive()` routes it to the
+/// reference evaluator used by the identity tests and the `sql_plan`
+/// bench. EXPLAIN always renders (and ANALYZE runs) the production plan;
+/// DML and DDL are unaffected.
 pub fn execute_with(db: &mut Database, sql: &str, opts: &PlanOptions) -> DbResult<SqlOutput> {
     match super::parser::parse(sql)? {
         Stmt::Select(s) => run_select(db, &s, opts),
-        Stmt::Explain { select, analyze } => explain_select(db, &select, analyze, opts),
+        Stmt::Explain { select, analyze } => explain_select(db, &select, analyze),
         Stmt::Insert { table, columns, rows } => run_insert(db, &table, columns, rows),
         Stmt::CreateTable { table, columns, primary_key } => {
             run_create(db, &table, columns, primary_key)
@@ -104,7 +107,14 @@ fn query_latency() -> &'static obs::Histogram {
 }
 
 fn run_select(db: &Database, s: &Select, opts: &PlanOptions) -> DbResult<SqlOutput> {
-    let sel_plan = plan::plan_select(db, s, opts)?;
+    if opts.reference {
+        // The oracle never profiles; clear any stale profile so callers
+        // can't misattribute.
+        db.set_last_profile(None);
+        let (columns, rows) = reference::run_select(db, s)?;
+        return Ok(SqlOutput::Rows { columns, rows });
+    }
+    let sel_plan = plan::plan_select(db, s)?;
     let rows = if obs::enabled() {
         let (rows, prof) = physical::run_profiled(db, &sel_plan)?;
         query_latency().record(prof.wall_ns);
@@ -122,8 +132,8 @@ fn run_select(db: &Database, s: &Select, opts: &PlanOptions) -> DbResult<SqlOutp
     Ok(SqlOutput::Rows { columns: sel_plan.columns, rows })
 }
 
-fn explain_select(db: &Database, s: &Select, analyze: bool, opts: &PlanOptions) -> DbResult<SqlOutput> {
-    let sel_plan = plan::plan_select(db, s, opts)?;
+fn explain_select(db: &Database, s: &Select, analyze: bool) -> DbResult<SqlOutput> {
+    let sel_plan = plan::plan_select(db, s)?;
     let lines = if analyze {
         // Execute the very plan object we are about to render — ANALYZE
         // profiles regardless of the telemetry switch, since it was asked

@@ -14,6 +14,7 @@ pub mod lexer;
 pub mod parser;
 mod physical;
 pub mod plan;
+mod reference;
 
 #[cfg(test)]
 mod tests;

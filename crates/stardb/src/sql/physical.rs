@@ -36,7 +36,7 @@ use super::plan::{Access, JoinStrategy, OutputShape, ScanNode, SelectPlan, Slot,
 use crate::colbatch::{ColumnBatch, ColumnHashTable, VPredicate};
 use crate::db::{BatchScan, Database};
 use crate::error::DbResult;
-use crate::exec::{self, GroupState, HashTable, TopN};
+use crate::exec::{self, GroupState, TopN};
 use crate::expr::Expr;
 use crate::row::Row;
 use crate::value::{DataType, Value};
@@ -321,20 +321,15 @@ pub(crate) fn run_profiled(db: &Database, plan: &SelectPlan) -> DbResult<(Vec<Ro
 /// Assemble the operator tree for a plan. Operators borrow the plan's
 /// bound expressions, so the tree lives no longer than the plan. Below
 /// the materialization boundary (scan → joins → residual filter → output
-/// shape) the tree comes in two flavors steered by `plan.vectorized`:
-/// column-major [`ColumnBatch`] exchange or the row-at-a-time reference
-/// pipeline. Everything above the boundary (DISTINCT, sort, top-N,
-/// LIMIT, hidden-column cut) operates on materialized rows either way.
+/// shape) operators exchange column-major [`ColumnBatch`]es; everything
+/// above it (DISTINCT, sort, top-N, LIMIT, hidden-column cut) operates on
+/// materialized rows.
 fn build<'p>(db: &Database, plan: &'p SelectPlan, profiled: bool) -> DbResult<Op<'p>> {
     let hidden_cut = match &plan.shape {
         OutputShape::Plain { hidden, .. } => *hidden,
         OutputShape::Aggregate { .. } => 0,
     };
-    let mut op = if plan.vectorized {
-        build_vectorized(db, plan, profiled)?
-    } else {
-        build_rowwise(db, plan, profiled)?
-    };
+    let mut op = build_vectorized(db, plan, profiled)?;
     if plan.distinct {
         op = Op::Distinct(DistinctExec {
             input: Box::new(op),
@@ -374,72 +369,6 @@ fn build<'p>(db: &Database, plan: &'p SelectPlan, profiled: bool) -> DbResult<Op
         op = Op::Cut(CutExec { input: Box::new(op), drop: hidden_cut, tally: Tally::default() });
     }
     Ok(op)
-}
-
-/// The row-at-a-time pipeline below the materialization boundary: the
-/// reference executor the vectorized pipeline must match byte for byte,
-/// kept selectable via [`super::plan::PlanOptions::rowwise`] for A/B
-/// benchmarking.
-fn build_rowwise<'p>(db: &Database, plan: &'p SelectPlan, profiled: bool) -> DbResult<Op<'p>> {
-    let mut op = Op::Scan(ScanExec::open(db, &plan.scan)?);
-    for join in &plan.joins {
-        let (right, build_prof) = drain(db, ScanExec::open(db, &join.right)?, profiled)?;
-        let side = match &join.strategy {
-            JoinStrategy::Hash { left_col, right_col } => {
-                RightSide::Hash { table: HashTable::build(right, *right_col), left_col: *left_col }
-            }
-            JoinStrategy::NestedLoop { on } => RightSide::Loop { rows: right, on: Some(on) },
-            JoinStrategy::Zone { spec, on } => {
-                let map = zone_map_for(db, &join.right, spec, |epoch| {
-                    ZoneMap::from_rows(&right, spec.right_zone, spec.right_ra, epoch)
-                })?;
-                RightSide::Zone { rows: right, map, spec, on }
-            }
-            JoinStrategy::Cross => RightSide::Loop { rows: right, on: None },
-        };
-        op = Op::Join(JoinExec {
-            left: Box::new(op),
-            side,
-            tally: Tally::default(),
-            build: build_prof,
-            pairs: 0,
-            probes: 0,
-            matched: 0,
-        });
-        if let Some(post) = &join.post {
-            op = Op::Filter(FilterExec {
-                input: Box::new(op),
-                pred: post,
-                tally: Tally::default(),
-                pruned: 0,
-            });
-        }
-    }
-    if let Some(pred) = &plan.filter {
-        op = Op::Filter(FilterExec {
-            input: Box::new(op),
-            pred,
-            tally: Tally::default(),
-            pruned: 0,
-        });
-    }
-    Ok(match &plan.shape {
-        OutputShape::Plain { exprs, .. } => {
-            Op::Project(ProjectExec { input: Box::new(op), exprs, tally: Tally::default() })
-        }
-        OutputShape::Aggregate { group_pos, specs, slots, having, .. } => {
-            Op::Aggregate(Box::new(AggregateExec {
-                input: Box::new(op),
-                group_pos: *group_pos,
-                specs,
-                slots,
-                having: having.as_ref(),
-                done: false,
-                tally: Tally::default(),
-                having_pruned: 0,
-            }))
-        }
-    })
 }
 
 /// The vectorized pipeline below the materialization boundary: scans
@@ -537,30 +466,6 @@ fn build_vectorized<'p>(db: &Database, plan: &'p SelectPlan, profiled: bool) -> 
 /// A table's column types in schema order.
 fn table_dtypes(db: &Database, table: &str) -> DbResult<Vec<DataType>> {
     Ok(db.schema_of(table)?.columns().iter().map(|c| c.dtype).collect())
-}
-
-/// Drain a scan to completion (join build sides), timing it when profiled.
-fn drain(db: &Database, mut scan: ScanExec, profiled: bool) -> DbResult<(Vec<Row>, OpProfile)> {
-    let mut out = Vec::new();
-    loop {
-        let t0 = profiled.then(Instant::now);
-        let batch = scan.next_batch(db, profiled)?;
-        if let Some(t0) = t0 {
-            scan.tally.time_ns += t0.elapsed().as_nanos() as u64;
-        }
-        match batch {
-            Some(b) => {
-                if profiled {
-                    scan.tally.batches += 1;
-                    scan.tally.rows += b.len() as u64;
-                }
-                out.extend(b);
-            }
-            None => break,
-        }
-    }
-    let prof = scan.profile();
-    Ok((out, prof))
 }
 
 /// Drain a vectorized scan to completion into one column-major batch
@@ -687,82 +592,27 @@ fn collect(root: Op<'_>, plan: &SelectPlan) -> PlanProfile {
         }
         o => o,
     };
-    op = match op {
-        Op::Project(x) => {
-            prof.output = x.tally.with(Vec::new());
-            *x.input
-        }
-        Op::Aggregate(x) => {
-            prof.having_pruned = x.having.is_some().then_some(x.having_pruned);
-            prof.output = x.tally.with(Vec::new());
-            *x.input
-        }
-        // The vectorized boundary: collect the column-batch chain into
-        // the same profile slots, then stop — the profile tree mirrors
-        // the plan, not the exchange format.
+    // The materialization boundary: collect the column-batch chain into
+    // the same profile slots — the profile tree mirrors the plan, not the
+    // exchange format.
+    match op {
         Op::VProject(x) => {
             prof.output = x.tally.with(Vec::new());
             collect_vchain(x.input, plan, &mut prof);
-            return prof;
         }
         Op::VAggregate(x) => {
             prof.having_pruned = x.having.is_some().then_some(x.having_pruned);
             prof.output = x.tally.with(Vec::new());
             collect_vchain(x.input, plan, &mut prof);
-            return prof;
         }
-        o => o,
-    };
-    if plan.filter.is_some() {
-        op = match op {
-            Op::Filter(x) => {
-                prof.filter = Some(x.profile());
-                *x.input
-            }
-            o => o,
-        };
-    }
-    let mut joins: Vec<JoinProfile> = Vec::with_capacity(plan.joins.len());
-    for node in plan.joins.iter().rev() {
-        let mut jp = JoinProfile::default();
-        if node.post.is_some() {
-            op = match op {
-                Op::Filter(x) => {
-                    jp.post = Some(x.profile());
-                    *x.input
-                }
-                o => o,
-            };
-        }
-        op = match op {
-            Op::Join(x) => {
-                jp.hashed = matches!(x.side, RightSide::Hash { .. });
-                let extras = if jp.hashed {
-                    vec![("build_rows", x.build.rows), ("probe_hits", x.tally.rows)]
-                } else if matches!(x.side, RightSide::Zone { .. }) {
-                    vec![("probes", x.probes), ("pairs", x.pairs), ("matched", x.matched)]
-                } else {
-                    vec![("pairs", x.pairs)]
-                };
-                jp.join = x.tally.with(extras);
-                jp.build = x.build;
-                *x.left
-            }
-            o => o,
-        };
-        joins.push(jp);
-    }
-    joins.reverse();
-    prof.joins = joins;
-    if let Op::Scan(x) = op {
-        prof.scan = x.profile();
+        _ => unreachable!("build always puts a boundary operator under the row operators"),
     }
     prof
 }
 
-/// [`collect`]'s mirror for the column-batch chain below the vectorized
-/// boundary: same peel order (filter → joins in reverse → scan), same
-/// profile slots, so `render_analyze` works unchanged on either pipeline.
+/// [`collect`]'s continuation for the column-batch chain below the
+/// materialization boundary: filter → joins in reverse → scan, each into
+/// the profile slot `render_analyze` reads for that plan node.
 fn collect_vchain(root: VOp, plan: &SelectPlan, prof: &mut PlanProfile) {
     let mut op = root;
     if plan.filter.is_some() {
@@ -865,11 +715,6 @@ fn record_op_counters(prof: &PlanProfile) {
 // ---- operators --------------------------------------------------------------
 
 enum Op<'p> {
-    Scan(ScanExec),
-    Join(JoinExec<'p>),
-    Filter(FilterExec<'p>),
-    Project(ProjectExec<'p>),
-    Aggregate(Box<AggregateExec<'p>>),
     /// Materialization boundary over a column-batch chain: projection.
     VProject(VProjectExec<'p>),
     /// Materialization boundary over a column-batch chain: aggregation.
@@ -903,11 +748,6 @@ impl Op<'_> {
 
     fn pull(&mut self, db: &Database, profiled: bool) -> DbResult<Option<Vec<Row>>> {
         match self {
-            Op::Scan(x) => x.next_batch(db, profiled),
-            Op::Join(x) => x.next_batch(db, profiled),
-            Op::Filter(x) => x.next_batch(db, profiled),
-            Op::Project(x) => x.next_batch(db, profiled),
-            Op::Aggregate(x) => x.next_batch(db, profiled),
             Op::VProject(x) => x.next_batch(db, profiled),
             Op::VAggregate(x) => x.next_batch(db, profiled),
             Op::Distinct(x) => x.next_batch(db, profiled),
@@ -920,11 +760,6 @@ impl Op<'_> {
 
     fn tally_mut(&mut self) -> &mut Tally {
         match self {
-            Op::Scan(x) => &mut x.tally,
-            Op::Join(x) => &mut x.tally,
-            Op::Filter(x) => &mut x.tally,
-            Op::Project(x) => &mut x.tally,
-            Op::Aggregate(x) => &mut x.tally,
             Op::VProject(x) => &mut x.tally,
             Op::VAggregate(x) => &mut x.tally,
             Op::Distinct(x) => &mut x.tally,
@@ -933,310 +768,6 @@ impl Op<'_> {
             Op::Limit(x) => &mut x.tally,
             Op::Cut(x) => &mut x.tally,
         }
-    }
-}
-
-enum Source {
-    /// Full or clustered-range batch scan over stored rows.
-    Batch(BatchScan),
-    /// Secondary-index range: pre-resolved clustering keys, fetched in
-    /// index order through the clustered tree.
-    Keys { table: String, keys: Vec<Vec<Value>>, next: usize },
-}
-
-struct ScanExec {
-    source: Source,
-    pred: Option<Expr>,
-    tally: Tally,
-    pruned: u64,
-}
-
-impl ScanExec {
-    fn open(db: &Database, node: &ScanNode) -> DbResult<ScanExec> {
-        let counters = plan_counters();
-        counters.pushed_predicates.add(node.pred_count as u64);
-        let source = match &node.access {
-            Access::Full => {
-                counters.full_scans.incr();
-                Source::Batch(db.batch_scan(&node.table)?)
-            }
-            Access::ClusteredRange { lo, hi, .. } => {
-                counters.index_scans.incr();
-                Source::Batch(db.batch_range_scan(&node.table, lo, hi)?)
-            }
-            Access::Index { name, lo, hi, .. } => {
-                counters.index_scans.incr();
-                Source::Keys {
-                    table: node.table.clone(),
-                    keys: db.index_range_keys(&node.table, name, lo, hi)?,
-                    next: 0,
-                }
-            }
-        };
-        Ok(ScanExec { source, pred: node.pred.clone(), tally: Tally::default(), pruned: 0 })
-    }
-
-    fn profile(&self) -> OpProfile {
-        self.tally.with(vec![("pruned", self.pruned)])
-    }
-
-    fn next_batch(&mut self, db: &Database, profiled: bool) -> DbResult<Option<Vec<Row>>> {
-        match &mut self.source {
-            Source::Batch(scan) => {
-                let Some(chunk) = scan.fetch(db, BATCH, self.pred.as_ref())? else {
-                    return Ok(None);
-                };
-                let pruned = chunk.scanned - chunk.rows.len() as u64;
-                plan_counters().rows_pruned.add(pruned);
-                if profiled {
-                    self.pruned += pruned;
-                }
-                Ok(Some(chunk.rows))
-            }
-            Source::Keys { table, keys, next } => {
-                if *next >= keys.len() {
-                    return Ok(None);
-                }
-                let mut rows = Vec::new();
-                let mut examined = 0u64;
-                while *next < keys.len() && rows.len() < BATCH {
-                    let key = &keys[*next];
-                    *next += 1;
-                    if let Some(row) = db.get(table, key)? {
-                        examined += 1;
-                        let keep = match &self.pred {
-                            Some(p) => p.matches(&row)?,
-                            None => true,
-                        };
-                        if keep {
-                            rows.push(row);
-                        }
-                    }
-                }
-                let pruned = examined - rows.len() as u64;
-                plan_counters().rows_pruned.add(pruned);
-                if profiled {
-                    self.pruned += pruned;
-                }
-                Ok(Some(rows))
-            }
-        }
-    }
-}
-
-enum RightSide<'p> {
-    Hash { table: HashTable, left_col: usize },
-    Loop { rows: Vec<Row>, on: Option<&'p Expr> },
-    /// Zone join: candidates from a [`ZoneMap`] probe, sorted back into
-    /// build order, then the full conjunction `on` re-evaluated on each —
-    /// identical output to `Loop` over the same rows, strictly fewer
-    /// pairs evaluated.
-    Zone { rows: Vec<Row>, map: Arc<ZoneMap>, spec: &'p ZoneJoinSpec, on: &'p Expr },
-}
-
-struct JoinExec<'p> {
-    left: Box<Op<'p>>,
-    side: RightSide<'p>,
-    tally: Tally,
-    /// Profile of the right-side scan drained at build time.
-    build: OpProfile,
-    /// Nested-loop / zone-join pairs examined (profiled runs only).
-    pairs: u64,
-    /// Zone-join probes driven (profiled runs only).
-    probes: u64,
-    /// Zone-join pairs surviving the conjunction (profiled runs only).
-    matched: u64,
-}
-
-impl JoinExec<'_> {
-    fn next_batch(&mut self, db: &Database, profiled: bool) -> DbResult<Option<Vec<Row>>> {
-        let Some(batch) = self.left.next_batch(db, profiled)? else {
-            return Ok(None);
-        };
-        match &mut self.side {
-            RightSide::Hash { table, left_col } => Ok(Some(table.probe(&batch, *left_col))),
-            RightSide::Zone { rows, map, spec, on } => {
-                let c = zonejoin_counters();
-                c.probes.add(batch.len() as u64);
-                if profiled {
-                    self.probes += batch.len() as u64;
-                }
-                let mut out = Vec::with_capacity(batch.len());
-                let mut cands: Vec<u32> = Vec::new();
-                for l in &batch {
-                    cands.clear();
-                    if let Some((zlo, zhi, ra_lo, ra_hi)) =
-                        zone_probe_bounds(&l.0[spec.left_zone], &l.0[spec.left_ra], spec)
-                    {
-                        map.probe(zlo, zhi, ra_lo, ra_hi, &mut cands);
-                        // Build (= nested-loop) order restores the exact
-                        // output order of the reference pipeline.
-                        cands.sort_unstable();
-                    }
-                    c.pairs_examined.add(cands.len() as u64);
-                    exec::join_pairs().add(cands.len() as u64);
-                    if profiled {
-                        self.pairs += cands.len() as u64;
-                    }
-                    for &j in cands.iter() {
-                        let r = &rows[j as usize];
-                        let mut joined = Vec::with_capacity(l.arity() + r.arity());
-                        joined.extend_from_slice(&l.0);
-                        joined.extend_from_slice(&r.0);
-                        let joined = Row(joined);
-                        if on.matches(&joined)? {
-                            c.pairs_matched.incr();
-                            if profiled {
-                                self.matched += 1;
-                            }
-                            out.push(joined);
-                        }
-                    }
-                }
-                Ok(Some(out))
-            }
-            RightSide::Loop { rows, on } => {
-                if profiled {
-                    self.pairs += batch.len() as u64 * rows.len() as u64;
-                }
-                let mut out = Vec::with_capacity(batch.len());
-                for l in &batch {
-                    for r in rows.iter() {
-                        exec::join_pairs().incr();
-                        let mut joined = Vec::with_capacity(l.arity() + r.arity());
-                        joined.extend_from_slice(&l.0);
-                        joined.extend_from_slice(&r.0);
-                        let joined = Row(joined);
-                        let keep = match on {
-                            Some(on) => on.matches(&joined)?,
-                            None => true,
-                        };
-                        if keep {
-                            out.push(joined);
-                        }
-                    }
-                }
-                Ok(Some(out))
-            }
-        }
-    }
-}
-
-struct FilterExec<'p> {
-    input: Box<Op<'p>>,
-    pred: &'p Expr,
-    tally: Tally,
-    pruned: u64,
-}
-
-impl FilterExec<'_> {
-    fn profile(&self) -> OpProfile {
-        self.tally.with(vec![("pruned", self.pruned)])
-    }
-
-    fn next_batch(&mut self, db: &Database, profiled: bool) -> DbResult<Option<Vec<Row>>> {
-        let Some(batch) = self.input.next_batch(db, profiled)? else {
-            return Ok(None);
-        };
-        let before = batch.len();
-        let mut out = Vec::with_capacity(before);
-        for row in batch {
-            if self.pred.matches(&row)? {
-                out.push(row);
-            }
-        }
-        exec::rows_filtered().add((before - out.len()) as u64);
-        if profiled {
-            self.pruned += (before - out.len()) as u64;
-        }
-        Ok(Some(out))
-    }
-}
-
-struct ProjectExec<'p> {
-    input: Box<Op<'p>>,
-    exprs: &'p [Expr],
-    tally: Tally,
-}
-
-impl ProjectExec<'_> {
-    fn next_batch(&mut self, db: &Database, profiled: bool) -> DbResult<Option<Vec<Row>>> {
-        let Some(batch) = self.input.next_batch(db, profiled)? else {
-            return Ok(None);
-        };
-        let mut out = Vec::with_capacity(batch.len());
-        for row in &batch {
-            let vals: DbResult<Vec<Value>> = self.exprs.iter().map(|e| e.eval(row)).collect();
-            out.push(Row(vals?));
-        }
-        Ok(Some(out))
-    }
-}
-
-struct AggregateExec<'p> {
-    input: Box<Op<'p>>,
-    group_pos: Option<usize>,
-    specs: &'p [exec::AggSpec],
-    slots: &'p [Slot],
-    having: Option<&'p Expr>,
-    done: bool,
-    tally: Tally,
-    having_pruned: u64,
-}
-
-impl AggregateExec<'_> {
-    fn next_batch(&mut self, db: &Database, profiled: bool) -> DbResult<Option<Vec<Row>>> {
-        if self.done {
-            return Ok(None);
-        }
-        self.done = true;
-        let mut state = GroupState::new(self.group_pos, self.specs);
-        while let Some(batch) = self.input.next_batch(db, profiled)? {
-            for row in &batch {
-                state.update(row)?;
-            }
-        }
-        let mut rows = state.finish()?;
-        if rows.is_empty() && self.group_pos.is_none() {
-            // A global aggregate over zero rows still yields one row:
-            // COUNT is 0, everything else is NULL.
-            let mut blank = Vec::with_capacity(self.specs.len());
-            for spec in self.specs {
-                blank.push(match spec.agg {
-                    exec::Agg::Count => Value::BigInt(0),
-                    _ => Value::Null,
-                });
-            }
-            rows.push(Row(blank));
-        }
-        if let Some(having) = self.having {
-            let before = rows.len();
-            let mut kept = Vec::with_capacity(rows.len());
-            for row in rows {
-                if having.matches(&row)? {
-                    kept.push(row);
-                }
-            }
-            rows = kept;
-            if profiled {
-                self.having_pruned += (before - rows.len()) as u64;
-            }
-        }
-        let key_offset = usize::from(self.group_pos.is_some());
-        let out = rows
-            .into_iter()
-            .map(|row| {
-                Row(self
-                    .slots
-                    .iter()
-                    .map(|slot| match slot {
-                        Slot::GroupKey => row.0[0].clone(),
-                        Slot::Agg(i) => row.0[key_offset + i].clone(),
-                    })
-                    .collect())
-            })
-            .collect();
-        Ok(Some(out))
     }
 }
 
@@ -1713,8 +1244,7 @@ impl VProjectExec<'_> {
 
 /// The materialization boundary for aggregates: feeds column batches to
 /// [`GroupState::update_columns`] and emits the final group rows —
-/// zero-row global fill-in, HAVING, and slot remapping exactly as the
-/// row-at-a-time [`AggregateExec`].
+/// zero-row global fill-in, HAVING, and slot remapping included.
 struct VAggregateExec<'p> {
     input: VOp,
     group_pos: Option<usize>,

@@ -43,67 +43,23 @@ use crate::value::{DataType, Value};
 use std::cmp::Ordering;
 use std::collections::HashMap;
 
-/// Planner feature switches. [`PlanOptions::default`] enables everything;
-/// [`PlanOptions::naive`] disables everything, yielding the reference
-/// executor the planner-correctness corpus compares against: full scans,
-/// nested-loop joins, one WHERE filter above the joins, full sort +
-/// truncate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Which evaluator runs a SELECT: a two-state selector, not a set of
+/// planner switches. [`PlanOptions::default`] is the planner with every
+/// rewrite plus the one (columnar) executor — what every production
+/// caller passes. [`PlanOptions::naive`] is the reference evaluator
+/// ([`super::reference`]) that the identity tests and the `sql_plan` bench
+/// compare the planned pipeline against. EXPLAIN ignores the selector.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct PlanOptions {
-    /// Turn sargable bounds into B-tree index range scans.
-    pub use_indexes: bool,
-    /// Split WHERE/ON conjunctions and push single-table predicates below
-    /// the joins onto their base-table scans.
-    pub pushdown: bool,
-    /// Let joins take the hash path on well-typed equalities.
-    pub hash_join: bool,
-    /// Short-circuit `ORDER BY … LIMIT n` with a bounded top-N heap.
-    pub top_n: bool,
-    /// Recognize the zone-join shape (`b.zoneid BETWEEN a.zoneid - Δz AND
-    /// a.zoneid + Δz` plus `b.ra BETWEEN a.ra - w AND a.ra + w`) and probe
-    /// a zone map of the inner side instead of examining every pair. The
-    /// full join conjunction is still re-evaluated on every candidate, so
-    /// results are byte-identical to the nested loop.
-    pub zone_join: bool,
-    /// Exchange column-major [`crate::colbatch::ColumnBatch`]es between the
-    /// scan/filter/join operators instead of `Vec<Row>` (rows materialize
-    /// only at the pipeline boundary). Off = the row-at-a-time pipeline,
-    /// kept selectable for A/B benchmarking; results are byte-identical
-    /// either way.
-    pub vectorized: bool,
-}
-
-impl Default for PlanOptions {
-    fn default() -> Self {
-        PlanOptions {
-            use_indexes: true,
-            pushdown: true,
-            hash_join: true,
-            top_n: true,
-            zone_join: true,
-            vectorized: true,
-        }
-    }
+    pub(super) reference: bool,
 }
 
 impl PlanOptions {
-    /// Everything off: the planner-free reference pipeline.
+    /// The planner-free reference evaluator: full scans, nested-loop joins
+    /// in FROM order, one WHERE filter above the joins, full sort +
+    /// truncate — straight-line over materialized rows.
     pub fn naive() -> Self {
-        PlanOptions {
-            use_indexes: false,
-            pushdown: false,
-            hash_join: false,
-            top_n: false,
-            zone_join: false,
-            vectorized: false,
-        }
-    }
-
-    /// The planned pipeline with row-at-a-time operators: every planner
-    /// feature on, columnar exchange off. The A/B baseline for the
-    /// vectorized executor.
-    pub fn rowwise() -> Self {
-        PlanOptions { vectorized: false, ..PlanOptions::default() }
+        PlanOptions { reference: true }
     }
 }
 
@@ -409,8 +365,7 @@ pub struct SelectPlan {
     pub columns: Vec<String>,
     pub(crate) scan: ScanNode,
     pub(crate) joins: Vec<JoinNode>,
-    /// Residual WHERE filter above the joins (whole WHERE in naive mode;
-    /// constant-only conjuncts otherwise).
+    /// Residual WHERE filter above the joins (constant-only conjuncts).
     pub(crate) filter: Option<Expr>,
     pub(crate) filter_count: usize,
     pub(crate) shape: OutputShape,
@@ -419,23 +374,40 @@ pub struct SelectPlan {
     pub(crate) sort: Vec<(usize, bool)>,
     pub(crate) use_top_n: bool,
     pub(crate) limit: Option<usize>,
-    /// Exchange [`crate::colbatch::ColumnBatch`]es below the
-    /// materialization boundary instead of `Vec<Row>`.
-    pub(crate) vectorized: bool,
 }
 
 // ---- planning ---------------------------------------------------------------
 
 /// One FROM/JOIN table resolved against the catalog.
-struct TableCtx {
-    name: String,
+pub(super) struct TableCtx {
+    pub(super) name: String,
     alias: String,
     offset: usize,
     clustered: bool,
 }
 
-/// Build the physical plan for a SELECT under the given options.
-pub(crate) fn plan_select(db: &Database, s: &Select, opts: &PlanOptions) -> DbResult<SelectPlan> {
+/// Stage 1 of planning: a SELECT with every name resolved to a position
+/// and nothing rewritten. This is all the reference evaluator
+/// ([`super::reference`]) takes from the planner.
+pub(super) struct BoundSelect {
+    /// The FROM table, then each JOIN table, in FROM order.
+    pub(super) tables: Vec<TableCtx>,
+    /// Column types of the concatenated row.
+    dtypes: Vec<DataType>,
+    /// One bound ON per join (`None` for CROSS), each over the
+    /// concatenated columns of the tables joined so far.
+    pub(super) ons: Vec<Option<Expr>>,
+    /// The whole bound WHERE.
+    pub(super) filter: Option<Expr>,
+    /// Output column names (deduplicated for display).
+    pub(super) columns: Vec<String>,
+    pub(super) shape: OutputShape,
+    /// `(position, descending)` over the shape's output (incl. hidden).
+    pub(super) sort: Vec<(usize, bool)>,
+}
+
+/// Bind a SELECT's names against the catalog (stage 1).
+pub(super) fn bind_select(db: &Database, s: &Select) -> DbResult<BoundSelect> {
     // ---- stage 1: logical plan (bind names, organize nodes) ----
     let from_schema = db.schema_of(&s.from.table)?;
     let mut dtypes: Vec<DataType> = from_schema.columns().iter().map(|c| c.dtype).collect();
@@ -461,124 +433,9 @@ pub(crate) fn plan_select(db: &Database, s: &Select, opts: &PlanOptions) -> DbRe
         });
         ons.push(j.on.as_ref().map(|on| bind(on, &scope)).transpose()?);
     }
-    let where_bound = s.filter.as_ref().map(|f| bind(f, &scope)).transpose()?;
+    let filter = s.filter.as_ref().map(|f| bind(f, &scope)).transpose()?;
 
-    // ---- stage 2: planner rewrites ----
-    // Conjuncts pushed to each table, re-based to table-local positions.
-    let mut local: Vec<Vec<Expr>> = tables.iter().map(|_| Vec::new()).collect();
-    // Conjuncts evaluated at join k (cross-table, over global positions).
-    let mut at_join: Vec<Vec<Expr>> = ons.iter().map(|_| Vec::new()).collect();
-    // Conjuncts with no column references, or everything in naive mode.
-    let mut residual: Vec<Expr> = Vec::new();
-
-    let table_of = |col: usize| -> usize {
-        tables.iter().rposition(|t| col >= t.offset).expect("col within scope")
-    };
-    let mut place = |conjunct: Expr| {
-        let refs = conjunct.col_refs();
-        let Some(&max_ref) = refs.last() else {
-            residual.push(conjunct);
-            return;
-        };
-        let last_table = table_of(max_ref);
-        if table_of(refs[0]) == last_table {
-            // Every reference lands in one table: push below the joins.
-            // Safe for inner joins — filtering a base table early removes
-            // only joined rows the predicate would have removed anyway.
-            let off = tables[last_table].offset;
-            local[last_table].push(conjunct.map_cols(&|c| c - off));
-        } else {
-            // Evaluated at the first join where every referenced table is
-            // in scope (join k joins table k+1).
-            at_join[last_table - 1].push(conjunct);
-        }
-    };
-
-    if opts.pushdown {
-        if let Some(w) = where_bound {
-            for c in w.split_conjuncts() {
-                place(c);
-            }
-        }
-        for on in ons.iter_mut() {
-            if let Some(on) = on.take() {
-                for c in on.split_conjuncts() {
-                    place(c);
-                }
-            }
-        }
-    } else {
-        if let Some(w) = where_bound {
-            residual.push(w);
-        }
-        for (k, on) in ons.iter_mut().enumerate() {
-            if let Some(on) = on.take() {
-                at_join[k].push(on);
-            }
-        }
-    }
-
-    // Join strategy: the zone-band shape beats everything (it prunes with
-    // both bands at once); otherwise pick one well-typed cross-boundary
-    // equality as a hash key; everything else stays as the nested-loop
-    // predicate.
-    let mut join_nodes: Vec<(JoinStrategy, Option<Expr>, usize)> = Vec::new();
-    for (k, conjuncts) in at_join.into_iter().enumerate() {
-        let right_off = tables[k + 1].offset;
-        if opts.zone_join {
-            if let Some(spec) = zone_join_spec(&conjuncts, right_off, &dtypes) {
-                let on = Expr::join_conjuncts(conjuncts).expect("zone join has conjuncts");
-                join_nodes.push((JoinStrategy::Zone { spec, on }, None, 0));
-                continue;
-            }
-        }
-        let mut hash: Option<(usize, usize)> = None;
-        let mut rest: Vec<Expr> = Vec::new();
-        for c in conjuncts {
-            if hash.is_none() && opts.hash_join {
-                if let Some(key) = hash_key(&c, right_off, &dtypes) {
-                    hash = Some(key);
-                    continue;
-                }
-            }
-            rest.push(c);
-        }
-        let count = rest.len();
-        let node = match hash {
-            Some((l, r)) => (
-                JoinStrategy::Hash { left_col: l, right_col: r - right_off },
-                Expr::join_conjuncts(rest),
-                count,
-            ),
-            None => match Expr::join_conjuncts(rest) {
-                Some(on) => (JoinStrategy::NestedLoop { on }, None, 0),
-                None => (JoinStrategy::Cross, None, 0),
-            },
-        };
-        join_nodes.push(node);
-    }
-
-    // Access paths: sargable bounds narrow a B-tree range per table.
-    let mut scans: Vec<ScanNode> = Vec::new();
-    for (t, conjuncts) in tables.iter().zip(local) {
-        scans.push(plan_scan(db, t, conjuncts, opts)?);
-    }
-    let mut scans = scans.into_iter();
-    let scan = scans.next().expect("FROM table");
-    let joins: Vec<JoinNode> = scans
-        .zip(join_nodes)
-        .map(|(right, (strategy, post, post_count))| JoinNode {
-            right,
-            strategy,
-            post,
-            post_count,
-        })
-        .collect();
-
-    let filter_count = residual.len();
-    let filter = Expr::join_conjuncts(residual);
-
-    // ---- output shape, sort, limit ----
+    // ---- output shape and sort keys ----
     let has_agg = s.items.iter().any(|i| {
         matches!(i, SelectItem::Expr { expr: SqlExpr::Agg { .. }, .. })
     });
@@ -626,9 +483,110 @@ pub(crate) fn plan_select(db: &Database, s: &Select, opts: &PlanOptions) -> DbRe
         };
         sort.push((pos, item.desc));
     }
-
-    let use_top_n = opts.top_n && !sort.is_empty() && s.limit.is_some();
     dedup_names(&mut columns);
+    Ok(BoundSelect { tables, dtypes, ons, filter, columns, shape, sort })
+}
+
+/// Build the physical plan for a SELECT: bind, then always apply every
+/// rewrite (stages 2 and 3).
+pub(crate) fn plan_select(db: &Database, s: &Select) -> DbResult<SelectPlan> {
+    let BoundSelect { tables, dtypes, ons, filter: where_bound, columns, shape, sort } =
+        bind_select(db, s)?;
+
+    // ---- stage 2: planner rewrites ----
+    // Conjuncts pushed to each table, re-based to table-local positions.
+    let mut local: Vec<Vec<Expr>> = tables.iter().map(|_| Vec::new()).collect();
+    // Conjuncts evaluated at join k (cross-table, over global positions).
+    let mut at_join: Vec<Vec<Expr>> = ons.iter().map(|_| Vec::new()).collect();
+    // Conjuncts with no column references.
+    let mut residual: Vec<Expr> = Vec::new();
+
+    let table_of = |col: usize| -> usize {
+        tables.iter().rposition(|t| col >= t.offset).expect("col within scope")
+    };
+    let mut place = |conjunct: Expr| {
+        let refs = conjunct.col_refs();
+        let Some(&max_ref) = refs.last() else {
+            residual.push(conjunct);
+            return;
+        };
+        let last_table = table_of(max_ref);
+        if table_of(refs[0]) == last_table {
+            // Every reference lands in one table: push below the joins.
+            // Safe for inner joins — filtering a base table early removes
+            // only joined rows the predicate would have removed anyway.
+            let off = tables[last_table].offset;
+            local[last_table].push(conjunct.map_cols(&|c| c - off));
+        } else {
+            // Evaluated at the first join where every referenced table is
+            // in scope (join k joins table k+1).
+            at_join[last_table - 1].push(conjunct);
+        }
+    };
+    for bound in where_bound.into_iter().chain(ons.into_iter().flatten()) {
+        for c in bound.split_conjuncts() {
+            place(c);
+        }
+    }
+
+    // Join strategy: the zone-band shape beats everything (it prunes with
+    // both bands at once); otherwise pick one well-typed cross-boundary
+    // equality as a hash key; everything else stays as the nested-loop
+    // predicate.
+    let mut join_nodes: Vec<(JoinStrategy, Option<Expr>, usize)> = Vec::new();
+    for (k, conjuncts) in at_join.into_iter().enumerate() {
+        let right_off = tables[k + 1].offset;
+        if let Some(spec) = zone_join_spec(&conjuncts, right_off, &dtypes) {
+            let on = Expr::join_conjuncts(conjuncts).expect("zone join has conjuncts");
+            join_nodes.push((JoinStrategy::Zone { spec, on }, None, 0));
+            continue;
+        }
+        let mut hash: Option<(usize, usize)> = None;
+        let mut rest: Vec<Expr> = Vec::new();
+        for c in conjuncts {
+            if hash.is_none() {
+                if let Some(key) = hash_key(&c, right_off, &dtypes) {
+                    hash = Some(key);
+                    continue;
+                }
+            }
+            rest.push(c);
+        }
+        let count = rest.len();
+        let node = match hash {
+            Some((l, r)) => (
+                JoinStrategy::Hash { left_col: l, right_col: r - right_off },
+                Expr::join_conjuncts(rest),
+                count,
+            ),
+            None => match Expr::join_conjuncts(rest) {
+                Some(on) => (JoinStrategy::NestedLoop { on }, None, 0),
+                None => (JoinStrategy::Cross, None, 0),
+            },
+        };
+        join_nodes.push(node);
+    }
+
+    // Access paths: sargable bounds narrow a B-tree range per table.
+    let mut scans: Vec<ScanNode> = Vec::new();
+    for (t, conjuncts) in tables.iter().zip(local) {
+        scans.push(plan_scan(db, t, conjuncts)?);
+    }
+    let mut scans = scans.into_iter();
+    let scan = scans.next().expect("FROM table");
+    let joins: Vec<JoinNode> = scans
+        .zip(join_nodes)
+        .map(|(right, (strategy, post, post_count))| JoinNode {
+            right,
+            strategy,
+            post,
+            post_count,
+        })
+        .collect();
+
+    let filter_count = residual.len();
+    let filter = Expr::join_conjuncts(residual);
+    let use_top_n = !sort.is_empty() && s.limit.is_some();
     Ok(SelectPlan {
         columns,
         scan,
@@ -640,7 +598,6 @@ pub(crate) fn plan_select(db: &Database, s: &Select, opts: &PlanOptions) -> DbRe
         sort,
         use_top_n,
         limit: s.limit,
-        vectorized: opts.vectorized,
     })
 }
 
@@ -757,17 +714,12 @@ impl ColBounds {
 }
 
 /// Choose the access path for one base table from its pushed conjuncts.
-fn plan_scan(
-    db: &Database,
-    t: &TableCtx,
-    conjuncts: Vec<Expr>,
-    opts: &PlanOptions,
-) -> DbResult<ScanNode> {
+fn plan_scan(db: &Database, t: &TableCtx, conjuncts: Vec<Expr>) -> DbResult<ScanNode> {
     let pred_count = conjuncts.len();
     let stats = db.table_stats(&t.name)?;
     let mut access = Access::Full;
     let mut bounded = 0usize;
-    if opts.use_indexes && t.clustered && !conjuncts.is_empty() {
+    if t.clustered && !conjuncts.is_empty() {
         let schema = db.schema_of(&t.name)?;
         let bounds = extract_bounds(&conjuncts, schema);
         if !bounds.is_empty() {

@@ -461,7 +461,7 @@ fn secondary_index_predicate_becomes_index_range_scan() {
         steps[0]
     );
     // The same plan object executes: the index-scan counter moves and the
-    // result set matches the full-scan reference executor.
+    // result set matches the full-scan reference evaluator.
     let scans_before = obs::counter("stardb.plan.index_scans").get();
     let (_, rs) = rows(&mut d, "SELECT objid FROM Galaxy WHERE ra BETWEEN 180.5 AND 182.0");
     assert!(obs::counter("stardb.plan.index_scans").get() > scans_before);
@@ -486,7 +486,7 @@ fn index_range_scan_examines_fewer_rows_than_full_scan() {
     let mut d = db();
     d.execute_sql("CREATE INDEX idx_ra ON Galaxy (ra)").unwrap();
     // ra > 182.5 matches only objid 5; the index admits 1 of 5 rows while
-    // the naive plan examines all 5 and prunes 4 above the scan.
+    // the reference evaluator scans all 5 and filters 4 above the scan.
     let pruned_before = obs::counter("stardb.plan.rows_pruned").get();
     let (_, rs) = rows(&mut d, "SELECT objid FROM Galaxy WHERE ra > 182.5");
     assert_eq!(rs.len(), 1);
@@ -499,8 +499,8 @@ fn index_range_scan_examines_fewer_rows_than_full_scan() {
     )
     .unwrap();
     let pruned_naive = obs::counter("stardb.plan.rows_pruned").get() - pruned_before;
-    // Naive mode pushes nothing into the scan, so it prunes nothing there;
-    // the planned path prunes at most the strict-bound edge rows.
+    // The reference evaluator has no pushed predicates, so it prunes
+    // nothing; the planned path prunes at most the strict-bound edge rows.
     assert_eq!(pruned_naive, 0);
     assert!(pruned_indexed <= 1, "index admitted too many rows: {pruned_indexed}");
 }
@@ -576,7 +576,7 @@ fn explain_and_execution_share_the_plan() {
 }
 
 #[test]
-fn naive_options_disable_every_rewrite() {
+fn reference_evaluator_agrees_with_the_planned_pipeline() {
     let mut d = db();
     d.execute_sql("CREATE INDEX idx_ra ON Galaxy (ra)").unwrap();
     let q = "SELECT objid FROM Galaxy WHERE ra BETWEEN 180.5 AND 182.0 ORDER BY objid LIMIT 2";

@@ -2,8 +2,8 @@
 //! pairs — including RA-wrap bands, polar caps, and radii larger than a
 //! zone height — the planned SQL zone join must return exactly the
 //! brute-force O(n·m) great-circle matcher's pairs, byte-identically
-//! across planner modes (naive nested loop, row-wise planned, vectorized)
-//! and worker counts.
+//! across the planned pipeline, the reference evaluator, and worker
+//! counts.
 
 use maxbcg::xmatch::{
     brute_force_xmatch, create_survey_table, load_survey, run_xmatch, XmatchObj, XmatchSpec,
@@ -21,7 +21,8 @@ fn survey(positions: &[(f64, f64)], id_base: i64) -> Vec<XmatchObj> {
         .collect()
 }
 
-/// Load both surveys and compare every execution mode against brute force.
+/// Load both surveys and check default ≡ `naive()` ≡ brute force across
+/// stripe counts.
 fn check_all_modes(
     a: &[XmatchObj],
     b: &[XmatchObj],
@@ -44,13 +45,13 @@ fn check_all_modes(
     let want = brute_force_xmatch(a, b, &spec);
     let planned = run_xmatch(&mut db, &spec, "Survey1", "Survey2", 1, &PlanOptions::default())
         .unwrap();
-    prop_assert_eq!(&planned, &want, "vectorized zone join diverged from brute force");
-    let rowwise =
-        run_xmatch(&mut db, &spec, "Survey1", "Survey2", 1, &PlanOptions::rowwise()).unwrap();
-    prop_assert_eq!(&rowwise, &want, "row-wise zone join diverged");
-    let naive =
-        run_xmatch(&mut db, &spec, "Survey1", "Survey2", 1, &PlanOptions::naive()).unwrap();
-    prop_assert_eq!(&naive, &want, "naive nested loop diverged");
+    prop_assert_eq!(&planned, &want, "planned zone join diverged from brute force");
+    for workers in [1usize, 2, 5] {
+        let naive =
+            run_xmatch(&mut db, &spec, "Survey1", "Survey2", workers, &PlanOptions::naive())
+                .unwrap();
+        prop_assert_eq!(&naive, &want, "reference nested loop diverged at {} stripes", workers);
+    }
     for workers in [2usize, 5] {
         let w = run_xmatch(&mut db, &spec, "Survey1", "Survey2", workers, &PlanOptions::default())
             .unwrap();

@@ -1,10 +1,11 @@
 //! Planner corpus: a deterministic battery of generated SELECTs executed
-//! twice — once through the streaming planner (`PlanOptions::default()`)
-//! and once through the planner-free reference pipeline
-//! (`PlanOptions::naive()`) — asserting identical result sets. The corpus
-//! leans on the shapes the paper's workloads write: sargable range
+//! twice — once through the planner and the production executor
+//! (`PlanOptions::default()`) and once through the reference evaluator
+//! (`PlanOptions::naive()`) — asserting byte-identical result sets. The
+//! corpus leans on the shapes the paper's workloads write: sargable range
 //! predicates on the clustered key and on secondary indexes (Figure 4/5
-//! region windows), equi-joins, aggregation, and ORDER BY ... LIMIT.
+//! region windows), equi-joins, the zone join, aggregation, and
+//! ORDER BY ... LIMIT.
 //!
 //! Row order is only comparable when the query pins it: without a total
 //! ORDER BY, an index range scan legitimately returns index order where
@@ -18,57 +19,28 @@ use common::{corpus, corpus_db};
 use stardb::sql::execute_with;
 use stardb::{Database, PlanOptions, Row};
 
-fn multiset(mut rows: Vec<Row>) -> Vec<Vec<u8>> {
-    let mut keys: Vec<Vec<u8>> = rows.drain(..).map(|r| r.encode()).collect();
-    keys.sort();
-    keys
-}
-
+/// Compared on the wire encoding, not just value equality, so type drift
+/// (e.g. INT widening to BIGINT) is caught too.
 #[test]
-fn planned_and_naive_executors_agree_on_the_corpus() {
+fn planned_pipeline_agrees_with_the_reference_byte_for_byte() {
     let mut d = corpus_db();
     for (sql, ordered) in corpus() {
         let (pc, pr) = execute_with(&mut d, &sql, &PlanOptions::default())
             .unwrap_or_else(|e| panic!("planned {sql}: {e}"))
             .rows()
             .unwrap();
-        let (nc, nr) = execute_with(&mut d, &sql, &PlanOptions::naive())
-            .unwrap_or_else(|e| panic!("naive {sql}: {e}"))
+        let (rc, rr) = execute_with(&mut d, &sql, &PlanOptions::naive())
+            .unwrap_or_else(|e| panic!("reference {sql}: {e}"))
             .rows()
             .unwrap();
-        assert_eq!(pc, nc, "column names diverged: {sql}");
-        if ordered {
-            assert_eq!(pr, nr, "ordered rows diverged: {sql}");
-        } else {
-            assert_eq!(multiset(pr), multiset(nr), "row multisets diverged: {sql}");
+        assert_eq!(pc, rc, "column names diverged: {sql}");
+        let mut pe: Vec<Vec<u8>> = pr.iter().map(Row::encode).collect();
+        let mut re: Vec<Vec<u8>> = rr.iter().map(Row::encode).collect();
+        if !ordered {
+            pe.sort();
+            re.sort();
         }
-    }
-}
-
-/// The columnar pipeline (`PlanOptions::default()`) and the row-at-a-time
-/// pipeline (`PlanOptions::rowwise()`) must produce byte-identical results
-/// on the whole corpus — same wire encoding, not just value equality, so
-/// type drift (e.g. INT widening to BIGINT) is caught too.
-#[test]
-fn vectorized_and_rowwise_pipelines_agree_byte_for_byte() {
-    let mut d = corpus_db();
-    for (sql, ordered) in corpus() {
-        let (vc, vr) = execute_with(&mut d, &sql, &PlanOptions::default())
-            .unwrap_or_else(|e| panic!("vectorized {sql}: {e}"))
-            .rows()
-            .unwrap();
-        let (rc, rr) = execute_with(&mut d, &sql, &PlanOptions::rowwise())
-            .unwrap_or_else(|e| panic!("rowwise {sql}: {e}"))
-            .rows()
-            .unwrap();
-        assert_eq!(vc, rc, "column names diverged: {sql}");
-        if ordered {
-            let ve: Vec<Vec<u8>> = vr.iter().map(Row::encode).collect();
-            let re: Vec<Vec<u8>> = rr.iter().map(Row::encode).collect();
-            assert_eq!(ve, re, "ordered encodings diverged: {sql}");
-        } else {
-            assert_eq!(multiset(vr), multiset(rr), "row multisets diverged: {sql}");
-        }
+        assert_eq!(pe, re, "row encodings diverged: {sql}");
     }
 }
 

@@ -1,109 +1,21 @@
 //! EXPLAIN ANALYZE integration: the profile annotations on an executed
 //! plan report *true* cardinalities (the `rows=` of the output operator
-//! equals the statement's actual result count, on both the planned and the
-//! planner-free pipelines), the ANALYZE tree is the EXPLAIN tree
-//! line-for-line (same plan object — annotations append, never rewrite),
-//! and disabling telemetry yields byte-identical results with no profile
-//! retained.
+//! equals the statement's actual result count), the ANALYZE tree is the
+//! EXPLAIN tree line-for-line (same plan object — annotations append,
+//! never rewrite), and disabling telemetry yields byte-identical results
+//! with no profile retained.
 
-use stardb::sql::execute_with;
-use stardb::{Database, DbConfig, PlanOptions};
+mod common;
+
+use common::{corpus, corpus_db};
+use stardb::Database;
 use std::sync::Mutex;
 
 /// These tests flip process-global telemetry state; serialize them.
 static GUARD: Mutex<()> = Mutex::new(());
 
-/// The sql_plans corpus schema: two joined tables with a secondary index,
-/// populated by the same seeded LCG so profiles see ties and NULLs.
-fn corpus_db() -> Database {
-    let mut d = Database::new(DbConfig::in_memory());
-    d.execute_sql(
-        "CREATE TABLE Galaxy (objid BIGINT PRIMARY KEY, ra FLOAT NOT NULL, \
-         dec FLOAT NOT NULL, mag REAL, cls INT)",
-    )
-    .unwrap();
-    d.execute_sql("CREATE TABLE Label (cls BIGINT PRIMARY KEY, weight INT)").unwrap();
-    d.execute_sql("CREATE INDEX idx_ra ON Galaxy (ra, dec)").unwrap();
-
-    let mut state = 0x9E3779B97F4A7C15u64;
-    let mut next = move || {
-        state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-        state >> 33
-    };
-    for objid in 0..240i64 {
-        let ra = 170.0 + (next() % 2000) as f64 / 100.0;
-        let dec = -5.0 + (next() % 1000) as f64 / 100.0;
-        let mag = if next() % 7 == 0 {
-            "NULL".to_owned()
-        } else {
-            format!("{:.2}", 16.0 + (next() % 600) as f64 / 100.0)
-        };
-        let cls = (next() % 6) as i64;
-        d.execute_sql(&format!(
-            "INSERT INTO Galaxy VALUES ({objid}, {ra:.2}, {dec:.2}, {mag}, {cls})"
-        ))
-        .unwrap();
-    }
-    for cls in 0..6i64 {
-        d.execute_sql(&format!("INSERT INTO Label VALUES ({cls}, {})", 10 - cls)).unwrap();
-    }
-    d
-}
-
-/// The query shapes of the sql_plans corpus: sargable ranges on the
-/// clustered key and the secondary index, residual filters, NULLs, hash
-/// and nested-loop joins, aggregation with and without GROUP BY, Top-N,
-/// and DISTINCT.
-fn corpus() -> Vec<String> {
-    let mut queries = Vec::new();
-    for (lo, hi) in [(10, 40), (0, 239), (200, 500)] {
-        queries.push(format!("SELECT objid, ra FROM Galaxy WHERE objid BETWEEN {lo} AND {hi}"));
-        queries.push(format!("SELECT * FROM Galaxy WHERE objid >= {lo} AND objid < {hi}"));
-    }
-    for (ra_lo, ra_hi) in [(172.5, 184.5), (180.0, 181.0)] {
-        queries.push(format!(
-            "SELECT objid FROM Galaxy WHERE ra BETWEEN {ra_lo} AND {ra_hi} \
-             AND dec BETWEEN -2.5 AND 4.5"
-        ));
-        queries.push(format!(
-            "SELECT objid, mag FROM Galaxy WHERE ra > {ra_lo} AND ra <= {ra_hi} \
-             AND mag < 20 ORDER BY objid"
-        ));
-    }
-    queries.push("SELECT objid FROM Galaxy WHERE mag IS NULL ORDER BY objid".into());
-    queries.push("SELECT objid FROM Galaxy WHERE ra + dec > 178 AND cls = 2".into());
-    queries.push(
-        "SELECT g.objid, l.weight FROM Galaxy g JOIN Label l ON g.cls = l.cls \
-         WHERE g.ra BETWEEN 175 AND 182 AND l.weight > 6 ORDER BY g.objid"
-            .into(),
-    );
-    queries.push(
-        "SELECT g.objid FROM Galaxy g CROSS JOIN Label l \
-         WHERE g.cls = l.cls AND g.objid < 30 ORDER BY g.objid"
-            .into(),
-    );
-    queries.push(
-        "SELECT g.objid, l.cls FROM Galaxy g JOIN Label l ON g.cls < l.weight - 6 \
-         WHERE g.objid BETWEEN 5 AND 25"
-            .into(),
-    );
-    for agg in ["COUNT(*)", "SUM(cls)", "MIN(mag)", "MAX(ra)", "AVG(dec)"] {
-        queries.push(format!(
-            "SELECT cls, {agg} FROM Galaxy WHERE objid BETWEEN 20 AND 200 GROUP BY cls"
-        ));
-    }
-    queries.push(
-        "SELECT COUNT(*) FROM Galaxy WHERE ra BETWEEN 173 AND 184 AND dec BETWEEN -2 AND 4".into(),
-    );
-    for n in [1, 7, 500] {
-        queries.push(format!("SELECT objid, cls FROM Galaxy ORDER BY cls DESC, objid LIMIT {n}"));
-    }
-    queries.push("SELECT DISTINCT cls FROM Galaxy WHERE objid < 100 ORDER BY cls".into());
-    queries
-}
-
-fn plan_lines(d: &mut Database, sql: &str, opts: &PlanOptions) -> Vec<String> {
-    let (_, rs) = execute_with(d, sql, opts).unwrap().rows().unwrap();
+fn plan_lines(d: &mut Database, sql: &str) -> Vec<String> {
+    let (_, rs) = d.execute_sql(sql).unwrap().rows().unwrap();
     rs.iter().map(|r| r[0].as_str().unwrap().to_owned()).collect()
 }
 
@@ -118,32 +30,24 @@ fn actual_rows(line: &str) -> u64 {
 }
 
 /// ANALYZE executes for real: the output operator's observed cardinality
-/// is the statement's result count — for every corpus query, on both the
-/// planned and the planner-free reference pipeline.
+/// is the statement's result count, for every corpus query.
 #[test]
 fn analyze_row_counts_match_actual_cardinalities() {
     let _g = GUARD.lock().unwrap_or_else(|p| p.into_inner());
     obs::set_enabled(true);
     let mut d = corpus_db();
-    for opts in [PlanOptions::default(), PlanOptions::rowwise(), PlanOptions::naive()] {
-        for sql in corpus() {
-            let (_, rows) = execute_with(&mut d, &sql, &opts)
-                .unwrap_or_else(|e| panic!("{sql}: {e}"))
-                .rows()
-                .unwrap();
-            let analyzed = plan_lines(&mut d, &format!("EXPLAIN ANALYZE {sql}"), &opts);
-            let last = analyzed.last().expect("plan has lines");
-            assert_eq!(
-                actual_rows(last),
-                rows.len() as u64,
-                "{sql}: output operator must report the result cardinality: {last:?}"
-            );
-            for line in &analyzed {
-                assert!(
-                    line.contains("(actual:"),
-                    "{sql}: every line carries its profile: {line:?}"
-                );
-            }
+    for (sql, _) in corpus() {
+        let (_, rows) =
+            d.execute_sql(&sql).unwrap_or_else(|e| panic!("{sql}: {e}")).rows().unwrap();
+        let analyzed = plan_lines(&mut d, &format!("EXPLAIN ANALYZE {sql}"));
+        let last = analyzed.last().expect("plan has lines");
+        assert_eq!(
+            actual_rows(last),
+            rows.len() as u64,
+            "{sql}: output operator must report the result cardinality: {last:?}"
+        );
+        for line in &analyzed {
+            assert!(line.contains("(actual:"), "{sql}: every line carries its profile: {line:?}");
         }
     }
 }
@@ -156,17 +60,15 @@ fn analyze_tree_matches_explain_line_for_line() {
     let _g = GUARD.lock().unwrap_or_else(|p| p.into_inner());
     obs::set_enabled(true);
     let mut d = corpus_db();
-    for opts in [PlanOptions::default(), PlanOptions::rowwise(), PlanOptions::naive()] {
-        for sql in corpus() {
-            let plain = plan_lines(&mut d, &format!("EXPLAIN {sql}"), &opts);
-            let analyzed = plan_lines(&mut d, &format!("EXPLAIN ANALYZE {sql}"), &opts);
-            assert_eq!(plain.len(), analyzed.len(), "{sql}: tree shapes differ");
-            for (p, a) in plain.iter().zip(&analyzed) {
-                assert!(
-                    a.starts_with(p.as_str()),
-                    "{sql}: ANALYZE must extend the EXPLAIN line\n  explain: {p}\n  analyze: {a}"
-                );
-            }
+    for (sql, _) in corpus() {
+        let plain = plan_lines(&mut d, &format!("EXPLAIN {sql}"));
+        let analyzed = plan_lines(&mut d, &format!("EXPLAIN ANALYZE {sql}"));
+        assert_eq!(plain.len(), analyzed.len(), "{sql}: tree shapes differ");
+        for (p, a) in plain.iter().zip(&analyzed) {
+            assert!(
+                a.starts_with(p.as_str()),
+                "{sql}: ANALYZE must extend the EXPLAIN line\n  explain: {p}\n  analyze: {a}"
+            );
         }
     }
 }
@@ -203,16 +105,15 @@ fn disabled_profiling_is_byte_identical_and_allocation_free() {
     let _g = GUARD.lock().unwrap_or_else(|p| p.into_inner());
     obs::set_enabled(true);
     let mut d = corpus_db();
-    let opts = PlanOptions::default();
     let mut instrumented = Vec::new();
-    for sql in corpus() {
-        instrumented.push(execute_with(&mut d, &sql, &opts).unwrap().rows().unwrap());
+    for (sql, _) in corpus() {
+        instrumented.push(d.execute_sql(&sql).unwrap().rows().unwrap());
     }
     let scan_rows = obs::counter("stardb.op.scan.rows").get();
 
     obs::set_enabled(false);
-    for (sql, enabled_out) in corpus().iter().zip(&instrumented) {
-        let out = execute_with(&mut d, sql, &opts).unwrap().rows().unwrap();
+    for ((sql, _), enabled_out) in corpus().iter().zip(&instrumented) {
+        let out = d.execute_sql(sql).unwrap().rows().unwrap();
         assert_eq!(&out, enabled_out, "profiling must never influence results: {sql}");
         assert!(
             d.last_profile().is_none(),
@@ -226,11 +127,7 @@ fn disabled_profiling_is_byte_identical_and_allocation_free() {
     );
 
     // ANALYZE is an explicit request: it profiles even while disabled.
-    let lines = plan_lines(
-        &mut d,
-        "EXPLAIN ANALYZE SELECT objid FROM Galaxy WHERE objid < 50",
-        &opts,
-    );
+    let lines = plan_lines(&mut d, "EXPLAIN ANALYZE SELECT objid FROM Galaxy WHERE objid < 50");
     assert!(lines.iter().all(|l| l.contains("(actual:")), "{lines:?}");
     assert!(d.last_profile().is_some());
     obs::set_enabled(true);
