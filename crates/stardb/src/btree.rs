@@ -244,11 +244,11 @@ impl BTree {
         BTree { pool, root, len, snap: None }
     }
 
-    /// A read-only view of a tree (given by its committed `root`/`len`)
+    /// A read-only view of this tree as committed (its `root`/`len` now)
     /// pinned at snapshot epoch `snap`: reads resolve copy-on-write page
     /// versions, so the view is stable while writers commit concurrently.
-    pub fn attach_at(pool: Arc<BufferPool>, root: PageId, len: u64, snap: u64) -> Self {
-        BTree { pool, root, len, snap: Some(snap) }
+    pub(crate) fn at(&self, snap: u64) -> Self {
+        BTree { pool: self.pool.clone(), root: self.root, len: self.len, snap: Some(snap) }
     }
 
     /// The current root page (serialized into WAL commit catalogs).
@@ -582,23 +582,14 @@ impl BTree {
         }
     }
 
-    /// Materializing convenience over [`BTree::scan_range_with`].
-    pub fn scan_range(
-        &self,
-        lo: Bound<&[u8]>,
-        hi: Bound<&[u8]>,
-    ) -> DbResult<Vec<(Vec<u8>, Vec<u8>)>> {
+    /// Full scan in key order, materialized (tests and small trees).
+    pub fn scan_all(&self) -> DbResult<Vec<(Vec<u8>, Vec<u8>)>> {
         let mut out = Vec::new();
-        self.scan_range_with(lo, hi, |k, v| {
+        self.scan_range_with(Bound::Unbounded, Bound::Unbounded, |k, v| {
             out.push((k.to_vec(), v.to_vec()));
             true
         })?;
         Ok(out)
-    }
-
-    /// Full scan in key order.
-    pub fn scan_all(&self) -> DbResult<Vec<(Vec<u8>, Vec<u8>)>> {
-        self.scan_range(Bound::Unbounded, Bound::Unbounded)
     }
 
     /// Tree height (leaf = 1); used by tests and the stats report.
@@ -637,6 +628,16 @@ mod tests {
 
     fn k(i: u64) -> Vec<u8> {
         i.to_be_bytes().to_vec()
+    }
+
+    fn keys_in(t: &BTree, lo: Bound<&[u8]>, hi: Bound<&[u8]>) -> Vec<Vec<u8>> {
+        let mut keys = Vec::new();
+        t.scan_range_with(lo, hi, |key, _| {
+            keys.push(key.to_vec());
+            true
+        })
+        .unwrap();
+        keys
     }
 
     #[test]
@@ -698,17 +699,13 @@ mod tests {
         for i in 0..100 {
             t.insert(&k(i), b"").unwrap();
         }
-        let r = t
-            .scan_range(Bound::Included(&k(10)), Bound::Included(&k(20)))
-            .unwrap();
+        let r = keys_in(&t, Bound::Included(&k(10)), Bound::Included(&k(20)));
         assert_eq!(r.len(), 11);
-        assert_eq!(r[0].0, k(10));
-        assert_eq!(r[10].0, k(20));
-        let r = t
-            .scan_range(Bound::Excluded(&k(10)), Bound::Excluded(&k(20)))
-            .unwrap();
+        assert_eq!(r[0], k(10));
+        assert_eq!(r[10], k(20));
+        let r = keys_in(&t, Bound::Excluded(&k(10)), Bound::Excluded(&k(20)));
         assert_eq!(r.len(), 9);
-        assert_eq!(r[0].0, k(11));
+        assert_eq!(r[0], k(11));
     }
 
     #[test]
@@ -718,9 +715,7 @@ mod tests {
         for i in 0..n {
             t.insert(&k(i), &[0u8; 64]).unwrap();
         }
-        let r = t
-            .scan_range(Bound::Included(&k(100)), Bound::Excluded(&k(4_900)))
-            .unwrap();
+        let r = keys_in(&t, Bound::Included(&k(100)), Bound::Excluded(&k(4_900)));
         assert_eq!(r.len(), 4_800);
     }
 

@@ -5,10 +5,9 @@ use crate::btree::BTree;
 use crate::buffer::{BufferPool, DiskProfile, IoSnapshot};
 use crate::colbatch::ColumnBatch;
 use crate::error::{DbError, DbResult};
-use crate::heap::{HeapFile, RowId};
+use crate::heap::HeapFile;
 use crate::key::encode_key;
 use crate::mvcc::MvccState;
-use crate::page;
 use crate::row::Row;
 use crate::schema::{Column, Schema};
 use crate::stats::{TableStats, TaskStats};
@@ -69,7 +68,9 @@ struct SecondaryIndex {
     tree: BTree,
 }
 
-/// One table: schema plus storage.
+/// One table: schema plus storage at one visibility — the live pages for
+/// [`Database`], the pages of one commit for [`DbSnapshot`]. Every read
+/// path of both types is a method of this one view.
 struct Table {
     schema: Schema,
     storage: Storage,
@@ -87,24 +88,198 @@ struct Table {
     commit_epoch: u64,
 }
 
-/// The committed shape of one table, as serialized into WAL commit records
-/// and pinned by snapshots: enough to re-attach storage without replaying
-/// logical operations.
-enum SnapStorage {
-    Heap { pages: Vec<PageId>, rows: u64 },
-    Clustered { root: PageId, len: u64, key_cols: Vec<usize> },
-}
-
-struct SnapTable {
-    schema: Schema,
-    storage: SnapStorage,
-}
-
-/// The catalog as of the last commit. Snapshots hold an `Arc` to the
-/// version they pinned; commit swaps in a fresh one.
+/// The catalog as of the last commit, every table re-attached at that
+/// commit's epoch ([`Table::at`]). Snapshots hold an `Arc` to the version
+/// they pinned; commit swaps in a fresh one.
 struct CommittedCatalog {
     epoch: u64,
-    tables: HashMap<String, SnapTable>,
+    tables: HashMap<String, Table>,
+}
+
+// ---- read path -----------------------------------------------------------
+//
+// One view (`Table`), one resumable position over it (`ScanPos`), and the
+// named adapters `Database` and `DbSnapshot` forward to. DESIGN.md §6c
+// ("Read path") states the latch contract once.
+
+fn lookup<'a>(tables: &'a HashMap<String, Table>, name: &str) -> DbResult<&'a Table> {
+    tables.get(&Database::norm(name)).ok_or_else(|| DbError::NoSuchTable(name.to_owned()))
+}
+
+/// The clustered-key bounds of the rows between the `lo` and `hi` key
+/// *prefixes*, both inclusive. No encoded field begins with 0xFF, so
+/// appending it to `hi` admits every key extending that prefix and nothing
+/// beyond it.
+fn prefix_range(lo: &[Value], hi: &[Value]) -> (Bound<Vec<u8>>, Bound<Vec<u8>>) {
+    let mut hi = encode_key(hi);
+    hi.push(0xFF);
+    (Bound::Included(encode_key(lo)), Bound::Included(hi))
+}
+
+fn as_slice(bound: &Bound<Vec<u8>>) -> Bound<&[u8]> {
+    bound.as_ref().map(Vec::as_slice)
+}
+
+impl Table {
+    /// This table as committed at `epoch`: the same schema over storage
+    /// whose every page read resolves at that epoch. Snapshots serve the
+    /// table read path only, so secondary indexes are not carried over.
+    fn at(&self, epoch: u64) -> Table {
+        let storage = match &self.storage {
+            Storage::Heap { file, rows } => Storage::Heap { file: file.at(epoch), rows: *rows },
+            Storage::Clustered { tree, key_cols } => {
+                Storage::Clustered { tree: tree.at(epoch), key_cols: key_cols.clone() }
+            }
+        };
+        Table {
+            schema: self.schema.clone(),
+            storage,
+            indexes: Vec::new(),
+            epoch: self.epoch,
+            commit_epoch: self.commit_epoch,
+        }
+    }
+
+    fn row_count(&self) -> u64 {
+        match &self.storage {
+            Storage::Heap { rows, .. } => *rows,
+            Storage::Clustered { tree, .. } => tree.len(),
+        }
+    }
+
+    /// The clustered index and its key columns; `name` is for the error a
+    /// heap table gets.
+    fn clustered(&self, name: &str) -> DbResult<(&BTree, &[usize])> {
+        match &self.storage {
+            Storage::Clustered { tree, key_cols } => Ok((tree, key_cols)),
+            Storage::Heap { .. } => Err(DbError::TypeError(format!("{name} is not clustered"))),
+        }
+    }
+
+    fn index(&self, index: &str) -> DbResult<&SecondaryIndex> {
+        self.indexes
+            .iter()
+            .find(|i| i.name.eq_ignore_ascii_case(index))
+            .ok_or_else(|| DbError::NoSuchTable(format!("index {index}")))
+    }
+
+    /// The position before the first row: page order for a heap, key order
+    /// for a clustered table.
+    fn start(&self) -> ScanPos {
+        match &self.storage {
+            Storage::Heap { .. } => ScanPos::Heap { page: 0, slot: 0 },
+            Storage::Clustered { .. } => {
+                ScanPos::Clustered { from: Bound::Unbounded, hi: Bound::Unbounded }
+            }
+        }
+    }
+
+    /// The position before the first row of a clustered table whose key
+    /// lies between the `lo` and `hi` prefixes ([`prefix_range`]).
+    fn start_range(&self, name: &str, lo: &[Value], hi: &[Value]) -> DbResult<ScanPos> {
+        self.clustered(name)?;
+        let (from, hi) = prefix_range(lo, hi);
+        Ok(ScanPos::Clustered { from, hi })
+    }
+
+    fn get_raw(&self, name: &str, key: &[Value]) -> DbResult<Option<Vec<u8>>> {
+        self.clustered(name)?.0.get(&encode_key(key))
+    }
+
+    fn get(&self, name: &str, key: &[Value]) -> DbResult<Option<Row>> {
+        let bytes = self.get_raw(name, key)?;
+        bytes.map(|b| Row::decode(&b, self.schema.arity())).transpose()
+    }
+
+    fn scan_with(&self, mut visit: impl FnMut(&Row) -> DbResult<bool>) -> DbResult<()> {
+        let arity = self.schema.arity();
+        self.start().resume(self, usize::MAX, |payload| visit(&Row::decode(payload, arity)?))
+    }
+
+    fn scan_raw(&self, name: &str, mut visit: impl FnMut(&[u8]) -> bool) -> DbResult<()> {
+        self.clustered(name)?;
+        self.start().resume(self, usize::MAX, |payload| Ok(visit(payload)))
+    }
+
+    fn range_scan_prefix_raw(
+        &self,
+        name: &str,
+        lo: &[Value],
+        hi: &[Value],
+        mut visit: impl FnMut(&[u8]) -> bool,
+    ) -> DbResult<()> {
+        self.start_range(name, lo, hi)?.resume(self, usize::MAX, |payload| Ok(visit(payload)))
+    }
+}
+
+/// Where a scan of one [`Table`] stands between calls: a heap address or a
+/// clustered-key bound and nothing else, so no latch and no page pin
+/// outlives a call. A full scan is one [`ScanPos::resume`] with no row
+/// limit; [`Cursor`] and [`BatchScan`] keep one and resume it a row or a
+/// batch at a time.
+enum ScanPos {
+    /// The next heap record to examine: an index into the page list and a
+    /// slot on that page.
+    Heap { page: usize, slot: u16 },
+    /// The clustered keys still to visit; after a call that stopped at a
+    /// row, `from` excludes that row's key.
+    Clustered { from: Bound<Vec<u8>>, hi: Bound<Vec<u8>> },
+    /// Every row has been visited.
+    Done,
+}
+
+impl ScanPos {
+    /// Feed the next rows of `table` to `sink` as payloads borrowed from
+    /// the page, until `max` rows were fed, `sink` returns `Ok(false)`, or
+    /// the rows run out (which leaves [`ScanPos::Done`]). Each call seeks
+    /// once from the remembered key (clustered) or re-reads the remembered
+    /// page (heap); only the key of the row a call stops at is copied.
+    ///
+    /// `sink` runs under the buffer-pool latch of the page it reads from:
+    /// it must not call back into the database (DESIGN.md, "Read path").
+    fn resume(
+        &mut self,
+        table: &Table,
+        max: usize,
+        mut sink: impl FnMut(&[u8]) -> DbResult<bool>,
+    ) -> DbResult<()> {
+        if max == 0 {
+            return Ok(());
+        }
+        let mut fed = 0;
+        match (&mut *self, &table.storage) {
+            (ScanPos::Done, _) => return Ok(()),
+            (ScanPos::Heap { page, slot }, Storage::Heap { file, .. }) => {
+                while *page < file.page_count() {
+                    let ran_out = file.visit_page(*page, *slot, |at, payload| {
+                        *slot = at + 1;
+                        fed += 1;
+                        Ok(sink(payload)? && fed < max)
+                    })?;
+                    if !ran_out {
+                        return Ok(());
+                    }
+                    (*page, *slot) = (*page + 1, 0);
+                }
+            }
+            (ScanPos::Clustered { from, hi }, Storage::Clustered { tree, .. }) => {
+                // The key of the row this call stops at, or the sink's error.
+                let mut stop = Ok(None);
+                tree.scan_range_with(as_slice(from), as_slice(hi), |key, payload| {
+                    fed += 1;
+                    stop = sink(payload).map(|more| (!more || fed == max).then(|| key.to_vec()));
+                    matches!(stop, Ok(None))
+                })?;
+                if let Some(key) = stop? {
+                    *from = Bound::Excluded(key);
+                    return Ok(());
+                }
+            }
+            _ => return Err(DbError::Corrupt("scan position does not match table storage".into())),
+        }
+        *self = ScanPos::Done;
+        Ok(())
+    }
 }
 
 // ---- catalog codec --------------------------------------------------------
@@ -463,23 +638,7 @@ impl Database {
 
     /// Snapshot-facing view of the current tables, stamped `epoch`.
     fn build_committed(&self, epoch: u64) -> CommittedCatalog {
-        let tables = self
-            .tables
-            .iter()
-            .map(|(name, t)| {
-                let storage = match &t.storage {
-                    Storage::Heap { file, rows } => {
-                        SnapStorage::Heap { pages: file.pages().to_vec(), rows: *rows }
-                    }
-                    Storage::Clustered { tree, key_cols } => SnapStorage::Clustered {
-                        root: tree.root(),
-                        len: tree.len(),
-                        key_cols: key_cols.clone(),
-                    },
-                };
-                (name.clone(), SnapTable { schema: t.schema.clone(), storage })
-            })
-            .collect();
+        let tables = self.tables.iter().map(|(name, t)| (name.clone(), t.at(epoch))).collect();
         CommittedCatalog { epoch, tables }
     }
 
@@ -553,12 +712,7 @@ impl Database {
             let epoch = self.mvcc.pin_snapshot();
             let catalog = self.committed.read().clone();
             if catalog.epoch == epoch {
-                return DbSnapshot {
-                    pool: self.pool.clone(),
-                    mvcc: self.mvcc.clone(),
-                    epoch,
-                    catalog,
-                };
+                return DbSnapshot { mvcc: self.mvcc.clone(), catalog };
             }
             // A commit raced between the pin and the catalog read; retry
             // against the newer epoch.
@@ -581,9 +735,7 @@ impl Database {
     }
 
     fn table(&self, name: &str) -> DbResult<&Table> {
-        self.tables
-            .get(&Self::norm(name))
-            .ok_or_else(|| DbError::NoSuchTable(name.to_owned()))
+        lookup(&self.tables, name)
     }
 
     fn table_mut(&mut self, name: &str) -> DbResult<&mut Table> {
@@ -797,42 +949,23 @@ impl Database {
 
     /// Row count.
     pub fn row_count(&self, name: &str) -> DbResult<u64> {
-        Ok(match &self.table(name)?.storage {
-            Storage::Heap { rows, .. } => *rows,
-            Storage::Clustered { tree, .. } => tree.len(),
-        })
+        Ok(self.table(name)?.row_count())
     }
 
     /// Point lookup by clustered key.
     pub fn get(&self, name: &str, key: &[Value]) -> DbResult<Option<Row>> {
-        let table = self.table(name)?;
-        let Storage::Clustered { tree, .. } = &table.storage else {
-            return Err(DbError::TypeError(format!("{name} is not clustered")));
-        };
-        match tree.get(&encode_key(key))? {
-            Some(bytes) => Ok(Some(Row::decode(&bytes, table.schema.arity())?)),
-            None => Ok(None),
-        }
+        self.table(name)?.get(name, key)
     }
 
     /// Point lookup by clustered key, returning the undecoded row payload
     /// (the vectorized scan decodes it straight into column buffers).
     pub fn get_raw(&self, name: &str, key: &[Value]) -> DbResult<Option<Vec<u8>>> {
-        let table = self.table(name)?;
-        let Storage::Clustered { tree, .. } = &table.storage else {
-            return Err(DbError::TypeError(format!("{name} is not clustered")));
-        };
-        tree.get(&encode_key(key))
+        self.table(name)?.get_raw(name, key)
     }
 
     /// The positions of a clustered table's key columns.
     pub fn clustered_key_cols(&self, name: &str) -> DbResult<Vec<usize>> {
-        match &self.table(name)?.storage {
-            Storage::Clustered { key_cols, .. } => Ok(key_cols.clone()),
-            Storage::Heap { .. } => {
-                Err(DbError::TypeError(format!("{name} is not clustered")))
-            }
-        }
+        Ok(self.table(name)?.clustered(name)?.1.to_vec())
     }
 
     /// Create a nonclustered index over `cols` of a clustered table,
@@ -883,7 +1016,7 @@ impl Database {
 
     /// Stream rows whose *index* key lies between the `lo` and `hi`
     /// prefixes (inclusive, prefix semantics as in
-    /// [`Database::range_scan_prefix`]), fetching each row through the
+    /// [`Database::range_scan_prefix_raw`]), fetching each row through the
     /// clustering key — the nonclustered-seek + key-lookup plan shape.
     pub fn index_range_scan(
         &self,
@@ -910,7 +1043,7 @@ impl Database {
     /// Phase 1 of a nonclustered index range scan on its own: the
     /// clustering-key locators of every index entry between the `lo` and
     /// `hi` index-key prefixes (inclusive, prefix semantics as in
-    /// [`Database::range_scan_prefix`]), in index-key order. The query
+    /// [`Database::range_scan_prefix_raw`]), in index-key order. The query
     /// planner's index-scan operator collects locators once, then fetches
     /// rows in batches through [`Database::get`].
     pub fn index_range_keys(
@@ -921,38 +1054,29 @@ impl Database {
         hi: &[Value],
     ) -> DbResult<Vec<Vec<Value>>> {
         let t = self.table(table)?;
-        let idx = t
-            .indexes
-            .iter()
-            .find(|i| i.name.eq_ignore_ascii_case(index))
-            .ok_or_else(|| DbError::NoSuchTable(format!("index {index}")))?;
+        let idx = t.index(index)?;
+        // An entry is the index columns followed by the clustering key.
         let n_prefix = idx.cols.len();
-        let lo_key = encode_key(lo);
-        let mut hi_key = encode_key(hi);
-        hi_key.push(0xFF);
+        let n_key = n_prefix + t.clustered(table)?.1.len();
+        let (lo, hi) = prefix_range(lo, hi);
         let mut locators: Vec<Vec<Value>> = Vec::new();
-        idx.tree.scan_range_with(
-            std::ops::Bound::Included(&lo_key),
-            std::ops::Bound::Included(&hi_key),
-            |k, _| {
-                if let Ok(vals) = crate::key::decode_key(k) {
-                    locators.push(vals[n_prefix..].to_vec());
-                }
-                true
-            },
-        )?;
+        let mut malformed = false;
+        idx.tree.scan_range_with(as_slice(&lo), as_slice(&hi), |k, _| {
+            match crate::key::decode_key(k) {
+                Ok(vals) if vals.len() == n_key => locators.push(vals[n_prefix..].to_vec()),
+                _ => malformed = true,
+            }
+            !malformed
+        })?;
+        if malformed {
+            return Err(DbError::Corrupt(format!("index {index} holds a malformed key")));
+        }
         Ok(locators)
     }
 
     /// The column positions a nonclustered index covers, in index order.
     pub fn index_key_cols(&self, table: &str, index: &str) -> DbResult<Vec<usize>> {
-        let t = self.table(table)?;
-        let idx = t
-            .indexes
-            .iter()
-            .find(|i| i.name.eq_ignore_ascii_case(index))
-            .ok_or_else(|| DbError::NoSuchTable(format!("index {index}")))?;
-        Ok(idx.cols.clone())
+        Ok(self.table(table)?.index(index)?.cols.clone())
     }
 
     /// Parse and execute one SQL statement (see [`crate::sql`]).
@@ -1007,37 +1131,9 @@ impl Database {
     pub fn scan_with(
         &self,
         name: &str,
-        mut visit: impl FnMut(&Row) -> DbResult<bool>,
+        visit: impl FnMut(&Row) -> DbResult<bool>,
     ) -> DbResult<()> {
-        let table = self.table(name)?;
-        let arity = table.schema.arity();
-        match &table.storage {
-            Storage::Heap { file, .. } => {
-                for (_, bytes) in file.scan() {
-                    let row = Row::decode(&bytes, arity)?;
-                    if !visit(&row)? {
-                        break;
-                    }
-                }
-                Ok(())
-            }
-            Storage::Clustered { tree, .. } => {
-                let mut err = None;
-                tree.scan_range_with(Bound::Unbounded, Bound::Unbounded, |_, payload| {
-                    match Row::decode(payload, arity).and_then(|row| visit(&row)) {
-                        Ok(more) => more,
-                        Err(e) => {
-                            err = Some(e);
-                            false
-                        }
-                    }
-                })?;
-                match err {
-                    Some(e) => Err(e),
-                    None => Ok(()),
-                }
-            }
-        }
+        self.table(name)?.scan_with(visit)
     }
 
     /// Materialize a full table (convenience for small tables and tests).
@@ -1050,96 +1146,35 @@ impl Database {
         Ok(out)
     }
 
-    /// Stream rows whose clustered key lies between the `lo` and `hi` key
-    /// *prefixes*, both inclusive — `hi` admits every key extending it.
-    /// This is the access path of the zone join: e.g. for a key
-    /// `(zoneID, ra, objid)`, `lo = (z, ra_min)`, `hi = (z, ra_max)`.
-    ///
-    /// `visit` runs under the buffer-pool latch and must not re-enter the
-    /// database (see [`Database::scan_with`]).
-    pub fn range_scan_prefix(
-        &self,
-        name: &str,
-        lo: &[Value],
-        hi: &[Value],
-        mut visit: impl FnMut(&Row) -> DbResult<bool>,
-    ) -> DbResult<()> {
-        let table = self.table(name)?;
-        let Storage::Clustered { tree, .. } = &table.storage else {
-            return Err(DbError::TypeError(format!("{name} is not clustered")));
-        };
-        let arity = table.schema.arity();
-        let lo_key = encode_key(lo);
-        let mut hi_key = encode_key(hi);
-        // No encoded field begins with 0xFF, so appending it admits every
-        // extension of the hi prefix and nothing beyond it.
-        hi_key.push(0xFF);
-        let mut err = None;
-        tree.scan_range_with(
-            Bound::Included(&lo_key),
-            Bound::Included(&hi_key),
-            |_, payload| match Row::decode(payload, arity).and_then(|row| visit(&row)) {
-                Ok(more) => more,
-                Err(e) => {
-                    err = Some(e);
-                    false
-                }
-            },
-        )?;
-        match err {
-            Some(e) => Err(e),
-            None => Ok(()),
-        }
-    }
-
-    /// Raw-payload variant of [`Database::range_scan_prefix`] for hot
-    /// loops: `visit` sees the undecoded row bytes borrowed from the page.
-    ///
-    /// `visit` runs under the buffer-pool latch and must not re-enter the
-    /// database (see [`Database::scan_with`]).
+    /// Stream the undecoded payloads, borrowed from the page, of the rows
+    /// whose clustered key lies between the `lo` and `hi` key *prefixes*,
+    /// both inclusive — `hi` admits every key extending it. This is the
+    /// access path of the zone join: e.g. for a key `(zoneID, ra, objid)`,
+    /// `lo = (z, ra_min)`, `hi = (z, ra_max)`. Return `false` to stop;
+    /// `visit` is bound by the latch contract of [`Database::scan_with`].
     pub fn range_scan_prefix_raw(
         &self,
         name: &str,
         lo: &[Value],
         hi: &[Value],
-        mut visit: impl FnMut(&[u8]) -> bool,
+        visit: impl FnMut(&[u8]) -> bool,
     ) -> DbResult<()> {
-        let table = self.table(name)?;
-        let Storage::Clustered { tree, .. } = &table.storage else {
-            return Err(DbError::TypeError(format!("{name} is not clustered")));
-        };
-        let lo_key = encode_key(lo);
-        let mut hi_key = encode_key(hi);
-        hi_key.push(0xFF);
-        tree.scan_range_with(Bound::Included(&lo_key), Bound::Included(&hi_key), |_, payload| {
-            visit(payload)
-        })
+        self.table(name)?.range_scan_prefix_raw(name, lo, hi, visit)
     }
 
     /// Bulk extraction: stream every raw row payload of a clustered table
     /// in clustered-key order; return `false` to stop early. This is the
     /// snapshot-build path — one sequential pass, no per-row decode by the
     /// engine, so read-optimized caches (the zone snapshot) can be
-    /// materialized at memory speed.
-    ///
-    /// `visit` runs under the buffer-pool latch and must not re-enter the
-    /// database (see [`Database::scan_with`]).
-    pub fn scan_raw(&self, name: &str, mut visit: impl FnMut(&[u8]) -> bool) -> DbResult<()> {
-        let table = self.table(name)?;
-        let Storage::Clustered { tree, .. } = &table.storage else {
-            return Err(DbError::TypeError(format!("{name} is not clustered")));
-        };
-        tree.scan_range_with(Bound::Unbounded, Bound::Unbounded, |_, payload| visit(payload))
+    /// materialized at memory speed. `visit` is bound by the latch
+    /// contract of [`Database::scan_with`].
+    pub fn scan_raw(&self, name: &str, visit: impl FnMut(&[u8]) -> bool) -> DbResult<()> {
+        self.table(name)?.scan_raw(name, visit)
     }
 
     /// Open a row-at-a-time cursor (the paper's `DECLARE c CURSOR`).
     pub fn cursor(&self, name: &str) -> DbResult<Cursor> {
-        let table = self.table(name)?;
-        let kind = match &table.storage {
-            Storage::Heap { .. } => CursorPos::Heap(None),
-            Storage::Clustered { .. } => CursorPos::Clustered(None),
-        };
-        Ok(Cursor { table: Self::norm(name), pos: kind, done: false })
+        Ok(Cursor { table: Self::norm(name), pos: self.table(name)?.start() })
     }
 
     /// Planner-facing statistics for a table (currently the row count).
@@ -1153,33 +1188,15 @@ impl Database {
     /// last key — so the pull-based executor can interleave fetches with
     /// arbitrary database reads.
     pub fn batch_scan(&self, name: &str) -> DbResult<BatchScan> {
-        let table = self.table(name)?;
-        let mode = match &table.storage {
-            Storage::Heap { .. } => BatchMode::Heap { last: None },
-            Storage::Clustered { .. } => BatchMode::Clustered {
-                last_key: None,
-                lo_key: Vec::new(),
-                hi_key: vec![0xFF],
-            },
-        };
-        Ok(BatchScan { table: Self::norm(name), mode, done: false })
+        Ok(BatchScan { table: Self::norm(name), pos: self.table(name)?.start() })
     }
 
     /// Open a streaming batched scan over the clustered-key range between
     /// the `lo` and `hi` key *prefixes*, both inclusive (`hi` admits every
-    /// key extending it, as in [`Database::range_scan_prefix`]).
+    /// key extending it, as in [`Database::range_scan_prefix_raw`]).
     pub fn batch_range_scan(&self, name: &str, lo: &[Value], hi: &[Value]) -> DbResult<BatchScan> {
-        let table = self.table(name)?;
-        let Storage::Clustered { .. } = &table.storage else {
-            return Err(DbError::TypeError(format!("{name} is not clustered")));
-        };
-        let mut hi_key = encode_key(hi);
-        hi_key.push(0xFF);
-        Ok(BatchScan {
-            table: Self::norm(name),
-            mode: BatchMode::Clustered { last_key: None, lo_key: encode_key(lo), hi_key },
-            done: false,
-        })
+        let pos = self.table(name)?.start_range(name, lo, hi)?;
+        Ok(BatchScan { table: Self::norm(name), pos })
     }
 
     /// A `Send + Sync` read-only snapshot handle for concurrent readers.
@@ -1253,16 +1270,14 @@ const _: () = {
 /// table; dropping the snapshot releases the pin so the watermark GC can
 /// reclaim superseded versions.
 pub struct DbSnapshot {
-    pool: Arc<BufferPool>,
     mvcc: Arc<MvccState>,
-    epoch: u64,
     catalog: Arc<CommittedCatalog>,
 }
 
 impl DbSnapshot {
     /// The commit epoch this snapshot is pinned to.
     pub fn epoch(&self) -> u64 {
-        self.epoch
+        self.catalog.epoch
     }
 
     /// All table names in the pinned catalog (sorted).
@@ -1277,139 +1292,49 @@ impl DbSnapshot {
         self.catalog.tables.contains_key(&Database::norm(name))
     }
 
-    fn table(&self, name: &str) -> DbResult<&SnapTable> {
-        self.catalog
-            .tables
-            .get(&Database::norm(name))
-            .ok_or_else(|| DbError::NoSuchTable(name.to_owned()))
+    fn table(&self, name: &str) -> DbResult<&Table> {
+        lookup(&self.catalog.tables, name)
     }
 
     /// Row count of `name` at the pinned commit.
     pub fn row_count(&self, name: &str) -> DbResult<u64> {
-        Ok(match &self.table(name)?.storage {
-            SnapStorage::Heap { rows, .. } => *rows,
-            SnapStorage::Clustered { len, .. } => *len,
-        })
-    }
-
-    fn clustered(&self, name: &str) -> DbResult<(BTree, usize)> {
-        let t = self.table(name)?;
-        let SnapStorage::Clustered { root, len, .. } = &t.storage else {
-            return Err(DbError::TypeError(format!("{name} is not clustered")));
-        };
-        Ok((
-            BTree::attach_at(self.pool.clone(), *root, *len, self.epoch),
-            t.schema.arity(),
-        ))
-    }
-
-    /// Column positions of `name`'s clustered key, as recorded at the
-    /// pinned commit.
-    pub fn clustered_key_cols(&self, name: &str) -> DbResult<Vec<usize>> {
-        match &self.table(name)?.storage {
-            SnapStorage::Clustered { key_cols, .. } => Ok(key_cols.clone()),
-            SnapStorage::Heap { .. } => {
-                Err(DbError::TypeError(format!("{name} is not clustered")))
-            }
-        }
+        Ok(self.table(name)?.row_count())
     }
 
     /// Point lookup by clustered key, as of the pinned commit.
     pub fn get(&self, name: &str, key: &[Value]) -> DbResult<Option<Row>> {
-        let (tree, arity) = self.clustered(name)?;
-        match tree.get(&encode_key(key))? {
-            Some(bytes) => Ok(Some(Row::decode(&bytes, arity)?)),
-            None => Ok(None),
-        }
+        self.table(name)?.get(name, key)
     }
 
-    /// Stream decoded rows of `name` as of the pinned commit; `visit`
-    /// returns `false` to stop early.
+    /// [`Database::scan_with`] as of the pinned commit.
     pub fn scan_with(
         &self,
         name: &str,
-        mut visit: impl FnMut(&Row) -> DbResult<bool>,
+        visit: impl FnMut(&Row) -> DbResult<bool>,
     ) -> DbResult<()> {
-        let t = self.table(name)?;
-        let arity = t.schema.arity();
-        match &t.storage {
-            SnapStorage::Heap { pages, .. } => {
-                for &pid in pages {
-                    let cells: Vec<Vec<u8>> = self.pool.with_page_at(pid, self.epoch, |p| {
-                        page::iter(p).map(|(_, cell)| cell.to_vec()).collect()
-                    })?;
-                    for bytes in cells {
-                        if !visit(&Row::decode(&bytes, arity)?)? {
-                            return Ok(());
-                        }
-                    }
-                }
-                Ok(())
-            }
-            SnapStorage::Clustered { root, len, .. } => {
-                let tree = BTree::attach_at(self.pool.clone(), *root, *len, self.epoch);
-                let mut err = None;
-                tree.scan_range_with(Bound::Unbounded, Bound::Unbounded, |_, payload| {
-                    match Row::decode(payload, arity).and_then(|row| visit(&row)) {
-                        Ok(more) => more,
-                        Err(e) => {
-                            err = Some(e);
-                            false
-                        }
-                    }
-                })?;
-                match err {
-                    Some(e) => Err(e),
-                    None => Ok(()),
-                }
-            }
-        }
+        self.table(name)?.scan_with(visit)
     }
 
-    /// Stream raw clustered payloads in key order as of the pinned commit
-    /// (the snapshot analogue of [`Database::scan_raw`]).
-    pub fn scan_raw(&self, name: &str, mut visit: impl FnMut(&[u8]) -> bool) -> DbResult<()> {
-        let (tree, _) = self.clustered(name)?;
-        tree.scan_range_with(Bound::Unbounded, Bound::Unbounded, |_, payload| visit(payload))
+    /// [`Database::scan_raw`] as of the pinned commit.
+    pub fn scan_raw(&self, name: &str, visit: impl FnMut(&[u8]) -> bool) -> DbResult<()> {
+        self.table(name)?.scan_raw(name, visit)
     }
 
-    /// Prefix range scan over the clustered key as of the pinned commit
-    /// (the snapshot analogue of [`Database::range_scan_prefix`]).
-    pub fn range_scan_prefix(
+    /// [`Database::range_scan_prefix_raw`] as of the pinned commit.
+    pub fn range_scan_prefix_raw(
         &self,
         name: &str,
         lo: &[Value],
         hi: &[Value],
-        mut visit: impl FnMut(&Row) -> DbResult<bool>,
+        visit: impl FnMut(&[u8]) -> bool,
     ) -> DbResult<()> {
-        let (tree, arity) = self.clustered(name)?;
-        let lo_key = encode_key(lo);
-        let mut hi_key = encode_key(hi);
-        // No encoded field begins with 0xFF, so appending it admits every
-        // extension of the hi prefix and nothing beyond it.
-        hi_key.push(0xFF);
-        let mut err = None;
-        tree.scan_range_with(
-            Bound::Included(&lo_key),
-            Bound::Included(&hi_key),
-            |_, payload| match Row::decode(payload, arity).and_then(|row| visit(&row)) {
-                Ok(more) => more,
-                Err(e) => {
-                    err = Some(e);
-                    false
-                }
-            },
-        )?;
-        match err {
-            Some(e) => Err(e),
-            None => Ok(()),
-        }
+        self.table(name)?.range_scan_prefix_raw(name, lo, hi, visit)
     }
 }
 
 impl Drop for DbSnapshot {
     fn drop(&mut self) {
-        self.mvcc.unpin_snapshot(self.epoch);
+        self.mvcc.unpin_snapshot(self.catalog.epoch);
     }
 }
 
@@ -1420,71 +1345,26 @@ const _: () = {
     assert_send_sync::<DbSnapshot>();
 };
 
-enum CursorPos {
-    Heap(Option<RowId>),
-    Clustered(Option<Vec<u8>>),
-}
-
 /// A row-at-a-time cursor. Each [`Cursor::fetch_next`] re-descends the
 /// index (clustered) or re-reads the page (heap) — deliberately faithful to
 /// the cost profile of SQL cursors, which §2.6 of the paper singles out as
 /// "very slow". The cursor-vs-set-based ablation bench quantifies this.
 pub struct Cursor {
     table: String,
-    pos: CursorPos,
-    done: bool,
+    pos: ScanPos,
 }
 
 impl Cursor {
     /// Fetch the next row, or `None` at the end (`@@fetch_status < 0`).
     pub fn fetch_next(&mut self, db: &Database) -> DbResult<Option<Row>> {
-        if self.done {
-            return Ok(None);
-        }
         let table = db.table(&self.table)?;
-        let arity = table.schema.arity();
-        match (&mut self.pos, &table.storage) {
-            (CursorPos::Heap(last), Storage::Heap { file, .. }) => {
-                match file.next_record(*last)? {
-                    Some((id, bytes)) => {
-                        *last = Some(id);
-                        Ok(Some(Row::decode(&bytes, arity)?))
-                    }
-                    None => {
-                        self.done = true;
-                        Ok(None)
-                    }
-                }
-            }
-            (CursorPos::Clustered(last), Storage::Clustered { tree, .. }) => {
-                let lo = match last {
-                    None => Bound::Unbounded,
-                    Some(k) => Bound::Excluded(k.as_slice()),
-                };
-                let mut hit: Option<(Vec<u8>, Vec<u8>)> = None;
-                tree.scan_range_with(lo, Bound::Unbounded, |k, v| {
-                    hit = Some((k.to_vec(), v.to_vec()));
-                    false
-                })?;
-                match hit {
-                    Some((k, bytes)) => {
-                        *last = Some(k);
-                        Ok(Some(Row::decode(&bytes, arity)?))
-                    }
-                    None => {
-                        self.done = true;
-                        Ok(None)
-                    }
-                }
-            }
-            _ => Err(DbError::Corrupt("cursor/storage kind mismatch".into())),
-        }
+        let mut row = None;
+        self.pos.resume(table, 1, |payload| {
+            row = Some(Row::decode(payload, table.schema.arity())?);
+            Ok(true)
+        })?;
+        Ok(row)
     }
-}
-
-enum BatchMode {
-    Heap { last: Option<RowId> },
-    Clustered { last_key: Option<Vec<u8>>, lo_key: Vec<u8>, hi_key: Vec<u8> },
 }
 
 /// One column-major batch fetched by [`BatchScan::fetch_columns`]: every
@@ -1500,12 +1380,11 @@ pub struct ColChunk {
 /// (see [`Database::batch_scan`] / [`Database::batch_range_scan`]).
 ///
 /// Between fetches the scan holds nothing but the last clustered key (or
-/// heap row id) examined; each fetch re-descends the B-tree from there,
+/// heap address) examined; each fetch re-descends the B-tree from there,
 /// exactly like [`Cursor`], but amortizes the descent over a whole batch.
 pub struct BatchScan {
     table: String,
-    mode: BatchMode,
-    done: bool,
+    pos: ScanPos,
 }
 
 impl BatchScan {
@@ -1516,66 +1395,16 @@ impl BatchScan {
     /// examined row is in it.
     /// Returns `None` once the scan is exhausted.
     pub fn fetch_columns(&mut self, db: &Database, max: usize) -> DbResult<Option<ColChunk>> {
-        if self.done || max == 0 {
-            self.done = true;
+        if matches!(self.pos, ScanPos::Done) {
             return Ok(None);
         }
         let table = db.table(&self.table)?;
         let dtypes: Vec<DataType> =
             table.schema.columns().iter().map(|c| c.dtype).collect();
         let mut batch = ColumnBatch::with_capacity(&dtypes, max);
-        match (&mut self.mode, &table.storage) {
-            (BatchMode::Heap { last }, Storage::Heap { file, .. }) => {
-                while batch.len() < max {
-                    match file.next_record(*last)? {
-                        Some((id, bytes)) => {
-                            *last = Some(id);
-                            batch.push_wire(&bytes)?;
-                        }
-                        None => {
-                            self.done = true;
-                            break;
-                        }
-                    }
-                }
-            }
-            (BatchMode::Clustered { last_key, lo_key, hi_key }, Storage::Clustered { tree, .. }) => {
-                let lo = match last_key {
-                    Some(k) => Bound::Excluded(k.as_slice()),
-                    None => Bound::Included(lo_key.as_slice()),
-                };
-                let mut newest: Option<Vec<u8>> = None;
-                let mut err = None;
-                let mut filled = false;
-                // The decode runs under the buffer-pool latch but touches
-                // only the batch buffers — it cannot re-enter the database.
-                tree.scan_range_with(lo, Bound::Included(hi_key.as_slice()), |k, payload| {
-                    newest = Some(k.to_vec());
-                    match batch.push_wire(payload) {
-                        Ok(()) => {
-                            filled = batch.len() >= max;
-                            !filled
-                        }
-                        Err(e) => {
-                            err = Some(e);
-                            false
-                        }
-                    }
-                })?;
-                if let Some(e) = err {
-                    return Err(e);
-                }
-                if let Some(k) = newest {
-                    *last_key = Some(k);
-                }
-                if !filled {
-                    self.done = true;
-                }
-            }
-            _ => return Err(DbError::Corrupt("scan/storage kind mismatch".into())),
-        }
+        self.pos.resume(table, max, |payload| batch.push_wire(payload).map(|()| true))?;
         if batch.is_empty() {
-            self.done = true;
+            self.pos = ScanPos::Done;
             return Ok(None);
         }
         Ok(Some(ColChunk { batch }))
@@ -1638,51 +1467,6 @@ mod tests {
     }
 
     #[test]
-    fn composite_key_range_scan() {
-        let mut d = db();
-        let schema = Schema::new(vec![
-            Column::new("zoneid", DataType::Int),
-            Column::new("ra", DataType::Float),
-            Column::new("objid", DataType::BigInt),
-        ]);
-        d.create_clustered_table("zone", schema, &["zoneid", "ra", "objid"]).unwrap();
-        let mut id = 0i64;
-        for z in 0..5i32 {
-            for r in 0..100 {
-                id += 1;
-                d.insert(
-                    "zone",
-                    Row(vec![Value::Int(z), Value::Float(f64::from(r) * 0.1), Value::BigInt(id)]),
-                )
-                .unwrap();
-            }
-        }
-        // Zone 2, ra in [3.0, 5.0]: entries 30..=50.
-        let mut got = Vec::new();
-        d.range_scan_prefix(
-            "zone",
-            &[Value::Int(2), Value::Float(3.0)],
-            &[Value::Int(2), Value::Float(5.0)],
-            |row| {
-                got.push((row.i64(0).unwrap(), row.f64(1).unwrap()));
-                Ok(true)
-            },
-        )
-        .unwrap();
-        assert_eq!(got.len(), 21);
-        assert!(got.iter().all(|&(z, _)| z == 2));
-        assert!(got.iter().all(|&(_, ra)| (3.0..=5.0).contains(&ra)));
-        // Prefix scan over just the zone.
-        let mut n = 0;
-        d.range_scan_prefix("zone", &[Value::Int(3)], &[Value::Int(3)], |_| {
-            n += 1;
-            Ok(true)
-        })
-        .unwrap();
-        assert_eq!(n, 100);
-    }
-
-    #[test]
     fn scan_with_early_stop() {
         let mut d = db();
         d.create_table("t", galaxy_schema()).unwrap();
@@ -1696,37 +1480,6 @@ mod tests {
         })
         .unwrap();
         assert_eq!(n, 10);
-    }
-
-    #[test]
-    fn cursor_walks_clustered_table_in_key_order() {
-        let mut d = db();
-        d.create_clustered_table("galaxy", galaxy_schema(), &["objid"]).unwrap();
-        for id in [30i64, 10, 20] {
-            d.insert("galaxy", g(id, 0.0, 0.0, 0.0)).unwrap();
-        }
-        let mut c = d.cursor("galaxy").unwrap();
-        let mut seen = Vec::new();
-        while let Some(row) = c.fetch_next(&d).unwrap() {
-            seen.push(row.i64(0).unwrap());
-        }
-        assert_eq!(seen, vec![10, 20, 30]);
-        assert!(c.fetch_next(&d).unwrap().is_none(), "stays done");
-    }
-
-    #[test]
-    fn cursor_walks_heap() {
-        let mut d = db();
-        d.create_table("t", galaxy_schema()).unwrap();
-        for i in 0..250 {
-            d.insert("t", g(i, 0.0, 0.0, 0.0)).unwrap();
-        }
-        let mut c = d.cursor("t").unwrap();
-        let mut n = 0;
-        while c.fetch_next(&d).unwrap().is_some() {
-            n += 1;
-        }
-        assert_eq!(n, 250);
     }
 
     #[test]
@@ -1864,51 +1617,6 @@ mod tests {
     }
 
     #[test]
-    fn reader_supports_concurrent_scans_and_gets() {
-        let mut d = db();
-        d.create_clustered_table("galaxy", galaxy_schema(), &["objid"]).unwrap();
-        for id in 0..500i64 {
-            d.insert("galaxy", g(id, 180.0 + id as f64 * 0.01, 0.0, (id % 9) as f32))
-                .unwrap();
-        }
-        let reader = d.reader();
-        std::thread::scope(|scope| {
-            for t in 0..4i64 {
-                scope.spawn(move || {
-                    // Point lookups.
-                    for id in (t * 125)..((t + 1) * 125) {
-                        let row = reader.get("galaxy", &[Value::BigInt(id)]).unwrap().unwrap();
-                        assert_eq!(row.i64(0).unwrap(), id);
-                    }
-                    // Range scan over a prefix window.
-                    let mut n = 0;
-                    reader
-                        .range_scan_prefix(
-                            "galaxy",
-                            &[Value::BigInt(100)],
-                            &[Value::BigInt(199)],
-                            |_| {
-                                n += 1;
-                                Ok(true)
-                            },
-                        )
-                        .unwrap();
-                    assert_eq!(n, 100);
-                    // Full scan.
-                    let mut total = 0;
-                    reader
-                        .scan_with("galaxy", |_| {
-                            total += 1;
-                            Ok(true)
-                        })
-                        .unwrap();
-                    assert_eq!(total, 500);
-                });
-            }
-        });
-    }
-
-    #[test]
     fn epochs_move_on_every_mutation_and_never_repeat() {
         let mut d = db();
         d.create_clustered_table("t", galaxy_schema(), &["objid"]).unwrap();
@@ -1938,31 +1646,342 @@ mod tests {
         assert_eq!(d.table_epoch("t").unwrap(), et);
     }
 
-    #[test]
-    fn scan_raw_streams_payloads_in_key_order() {
-        let mut d = db();
-        d.create_clustered_table("t", galaxy_schema(), &["objid"]).unwrap();
-        for id in [30i64, 10, 20] {
-            d.insert("t", g(id, f64::from(id as i32), 0.0, 0.0)).unwrap();
+    // ---- the read path, one test per property, every view -----------------
+
+    fn zone_schema() -> Schema {
+        Schema::new(vec![
+            Column::new("zoneid", DataType::Int),
+            Column::new("ra", DataType::Float),
+            Column::new("objid", DataType::BigInt),
+            Column::new("pad", DataType::Text),
+        ])
+    }
+
+    const ZONE_KEY: [&str; 3] = ["zoneid", "ra", "objid"];
+
+    /// Row `j` of the zone corpus: zone `j / 100`, ra step `j % 100`,
+    /// objid `j + 1`, wide enough that 500 rows span many pages.
+    fn zone_row(j: i32) -> Row {
+        Row(vec![
+            Value::Int(j / 100),
+            Value::Float(f64::from(j % 100) * 0.1),
+            Value::BigInt(i64::from(j) + 1),
+            Value::Text("p".repeat(100)),
+        ])
+    }
+
+    /// Create heap table `h` and clustered table `c` over the same 500 rows,
+    /// inserted in a scrambled order so page order differs from key order.
+    /// Returns the row numbers in insertion order.
+    fn load_zones(d: &mut Database) -> Vec<i32> {
+        d.create_table("h", zone_schema()).unwrap();
+        d.create_clustered_table("c", zone_schema(), &ZONE_KEY).unwrap();
+        let order: Vec<i32> = (0..500).map(|i| i * 37 % 500).collect();
+        for &j in &order {
+            d.insert("h", zone_row(j)).unwrap();
+            d.insert("c", zone_row(j)).unwrap();
         }
-        let mut ids = Vec::new();
-        d.scan_raw("t", |payload| {
-            ids.push(Row::decode(payload, 4).unwrap().i64(0).unwrap());
+        order
+    }
+
+    /// The two types that hand out the shared view.
+    #[derive(Clone, Copy)]
+    enum View<'a> {
+        Live(&'a Database),
+        Pinned(&'a DbSnapshot),
+    }
+
+    impl View<'_> {
+        fn row_count(self, t: &str) -> DbResult<u64> {
+            match self {
+                View::Live(d) => d.row_count(t),
+                View::Pinned(s) => s.row_count(t),
+            }
+        }
+        fn get(self, t: &str, key: &[Value]) -> DbResult<Option<Row>> {
+            match self {
+                View::Live(d) => d.get(t, key),
+                View::Pinned(s) => s.get(t, key),
+            }
+        }
+        fn scan_with(self, t: &str, visit: impl FnMut(&Row) -> DbResult<bool>) -> DbResult<()> {
+            match self {
+                View::Live(d) => d.scan_with(t, visit),
+                View::Pinned(s) => s.scan_with(t, visit),
+            }
+        }
+        fn scan_raw(self, t: &str, visit: impl FnMut(&[u8]) -> bool) -> DbResult<()> {
+            match self {
+                View::Live(d) => d.scan_raw(t, visit),
+                View::Pinned(s) => s.scan_raw(t, visit),
+            }
+        }
+        fn range_raw(
+            self,
+            t: &str,
+            lo: &[Value],
+            hi: &[Value],
+            visit: impl FnMut(&[u8]) -> bool,
+        ) -> DbResult<()> {
+            match self {
+                View::Live(d) => d.range_scan_prefix_raw(t, lo, hi, visit),
+                View::Pinned(s) => s.range_scan_prefix_raw(t, lo, hi, visit),
+            }
+        }
+    }
+
+    fn encoded(order: &[i32]) -> Vec<Vec<u8>> {
+        order.iter().map(|&j| zone_row(j).encode()).collect()
+    }
+
+    fn drain(mut scan: BatchScan, db: &Database, max: usize) -> Vec<Vec<u8>> {
+        let mut out = Vec::new();
+        while let Some(chunk) = scan.fetch_columns(db, max).unwrap() {
+            assert!(chunk.batch.len() <= max);
+            out.extend(chunk.batch.to_rows().iter().map(Row::encode));
+        }
+        assert!(scan.fetch_columns(db, max).unwrap().is_none(), "stays done");
+        out
+    }
+
+    /// Every read entry point of `view` returns the rows `expect` (row
+    /// numbers in scan order) of table `t`, compared on `Row::encode` bytes.
+    /// A live view adds the resumable entry points, which only a `Database`
+    /// opens.
+    fn check_reads(view: View, t: &str, clustered: bool, expect: &[i32]) {
+        let db = match view {
+            View::Live(db) => Some(db),
+            View::Pinned(_) => None,
+        };
+        let want = encoded(expect);
+        assert_eq!(view.row_count(t).unwrap(), want.len() as u64);
+        let mut got = Vec::new();
+        view.scan_with(t, |row| {
+            got.push(row.encode());
+            Ok(true)
+        })
+        .unwrap();
+        assert!(got == want, "{t}: scan_with diverged");
+        let mut seen = 0;
+        view.scan_with(t, |_| {
+            seen += 1;
+            Ok(false)
+        })
+        .unwrap();
+        assert_eq!(seen, 1, "{t}: early stop");
+
+        if let Some(db) = db {
+            let mut cursor = db.cursor(t).unwrap();
+            let mut walked = Vec::new();
+            while let Some(row) = cursor.fetch_next(db).unwrap() {
+                walked.push(row.encode());
+            }
+            assert!(walked == want, "{t}: cursor walk diverged");
+            assert!(cursor.fetch_next(db).unwrap().is_none(), "stays done");
+            for max in [1, 7, 1024] {
+                assert!(drain(db.batch_scan(t).unwrap(), db, max) == want, "{t}: batches of {max}");
+            }
+        }
+
+        // Zone 2, ra steps 30..=50: both bounds sit on stored keys, and `hi`
+        // is a two-column prefix of the three-column key.
+        let (lo, hi) = (&zone_row(230).0[..2], &zone_row(250).0[..2]);
+        if !clustered {
+            assert!(matches!(view.scan_raw(t, |_| true), Err(DbError::TypeError(_))));
+            assert!(matches!(view.range_raw(t, lo, hi, |_| true), Err(DbError::TypeError(_))));
+            assert!(matches!(view.get(t, lo), Err(DbError::TypeError(_))));
+            if let Some(db) = db {
+                assert!(matches!(db.batch_range_scan(t, lo, hi), Err(DbError::TypeError(_))));
+            }
+            return;
+        }
+        let mut raw = Vec::new();
+        view.scan_raw(t, |p| {
+            raw.push(p.to_vec());
             true
         })
         .unwrap();
-        assert_eq!(ids, vec![10, 20, 30]);
-        // Early stop.
-        let mut n = 0;
-        d.scan_raw("t", |_| {
-            n += 1;
+        assert!(raw == want, "{t}: scan_raw diverged");
+        let mut seen = 0;
+        view.scan_raw(t, |_| {
+            seen += 1;
             false
         })
         .unwrap();
-        assert_eq!(n, 1);
-        // Heaps have no clustered payload stream.
-        d.create_table("h", galaxy_schema()).unwrap();
-        assert!(d.scan_raw("h", |_| true).is_err());
+        assert_eq!(seen, 1, "{t}: raw early stop");
+
+        let range = |lo: &[Value], hi: &[Value]| {
+            let mut out = Vec::new();
+            view.range_raw(t, lo, hi, |p| {
+                out.push(p.to_vec());
+                true
+            })
+            .unwrap();
+            out
+        };
+        let in_window: Vec<i32> =
+            expect.iter().copied().filter(|j| (230..=250).contains(j)).collect();
+        assert_eq!(in_window.len(), 21);
+        assert!(range(lo, hi) == encoded(&in_window), "{t}: inclusive prefix bounds");
+        if let Some(db) = db {
+            let scan = db.batch_range_scan(t, lo, hi).unwrap();
+            assert!(drain(scan, db, 7) == encoded(&in_window), "{t}: batched range");
+        }
+        // One-column prefix: every key extending it, nothing of zone 4.
+        let zone3: Vec<i32> = expect.iter().copied().filter(|j| j / 100 == 3).collect();
+        assert!(range(&[Value::Int(3)], &[Value::Int(3)]) == encoded(&zone3), "{t}: zone prefix");
+        // A full key as both bounds admits exactly that row.
+        let key = &zone_row(123).0[..3];
+        assert!(range(key, key) == encoded(&[123]), "{t}: full-key bounds");
+        assert!(range(&[Value::Int(9)], &[Value::Int(9)]).is_empty());
+
+        assert_eq!(view.get(t, key).unwrap().unwrap().encode(), zone_row(123).encode());
+        assert!(view.get(t, &zone_row(777).0[..3]).unwrap().is_none());
+    }
+
+    #[test]
+    fn every_view_reads_the_same_rows_through_every_entry_point() {
+        let mut d = db();
+        let heap_order = load_zones(&mut d);
+        let key_order: Vec<i32> = (0..500).collect();
+        check_reads(View::Live(&d), "h", false, &heap_order);
+        check_reads(View::Live(&d), "c", true, &key_order);
+        let reader = d.reader();
+        std::thread::scope(|scope| {
+            for _ in 0..4 {
+                scope.spawn(|| {
+                    check_reads(View::Live(&reader), "h", false, &heap_order);
+                    check_reads(View::Live(&reader), "c", true, &key_order);
+                });
+            }
+        });
+
+        // A snapshot pinned on a durable database keeps serving the rows of
+        // its commit while the writer inserts between them and commits.
+        let dir = std::env::temp_dir().join(format!("stardb-readpath-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut d = Database::open(&dir, DbConfig::in_memory(), WalConfig::default()).unwrap();
+        let heap_order = load_zones(&mut d);
+        d.commit().unwrap();
+        let snap = d.snapshot();
+        assert!(snap.has_table("C") && snap.table_names() == ["c", "h"]);
+        let (committed, commits) = std::sync::mpsc::channel();
+        std::thread::scope(|scope| {
+            // One pass per later commit, each overlapping the writer's next.
+            scope.spawn(|| {
+                for () in commits {
+                    check_reads(View::Pinned(&snap), "h", false, &heap_order);
+                    check_reads(View::Pinned(&snap), "c", true, &key_order);
+                }
+            });
+            for batch in 0..6 {
+                for i in 0..20 {
+                    // New keys inside zones 0..5, between the pinned ones.
+                    let mut row = zone_row((batch * 20 + i) * 4);
+                    row.0[2] = Value::BigInt(10_000 + i64::from(batch * 20 + i));
+                    d.insert("h", row.clone()).unwrap();
+                    d.insert("c", row).unwrap();
+                }
+                d.commit().unwrap();
+                committed.send(()).unwrap();
+            }
+            drop(committed);
+        });
+        assert!(snap.epoch() < d.snapshot().epoch());
+        assert_eq!(d.row_count("c").unwrap(), 620);
+        assert_eq!(d.snapshot().row_count("h").unwrap(), 620);
+        drop(snap);
+        d.close().unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn index_range_scan_reports_malformed_index_keys() {
+        let mut d = db();
+        d.create_clustered_table("galaxy", galaxy_schema(), &["objid"]).unwrap();
+        for id in 0..20i64 {
+            d.insert("galaxy", g(id, 180.0, 0.0, (id % 4) as f32)).unwrap();
+        }
+        d.create_index("galaxy", "ix_i", &["i"]).unwrap();
+        let probe = |d: &Database| {
+            d.index_range_keys("galaxy", "ix_i", &[Value::Real(2.0)], &[Value::Real(2.0)])
+        };
+        assert_eq!(probe(&d).unwrap().len(), 5);
+        fn index(d: &mut Database) -> &mut BTree {
+            &mut d.tables.get_mut("galaxy").unwrap().indexes[0].tree
+        }
+        // An entry with no clustering key behind the index columns.
+        let short = encode_key(&[Value::Real(2.0)]);
+        index(&mut d).insert(&short, &[]).unwrap();
+        assert!(matches!(probe(&d), Err(DbError::Corrupt(_))), "short key must not be skipped");
+        index(&mut d).delete(&short).unwrap();
+        assert_eq!(probe(&d).unwrap().len(), 5);
+        // An entry whose bytes are no key encoding at all.
+        let mut junk = encode_key(&[Value::Real(2.0)]);
+        junk.extend_from_slice(&[0x7E, 0x01]);
+        index(&mut d).insert(&junk, &[]).unwrap();
+        assert!(matches!(probe(&d), Err(DbError::Corrupt(_))), "junk key must not be skipped");
+    }
+
+    #[test]
+    fn heap_scans_read_a_page_once_per_batch_and_once_per_cursor_fetch() {
+        let mut d = db();
+        let rows = load_zones(&mut d).len() as u64;
+        let Storage::Heap { file, .. } = &d.tables["h"].storage else { panic!("h is a heap") };
+        let pages = file.page_count() as u64;
+        assert!(pages >= 8, "{pages} pages");
+        let reads = |d: &Database| d.io_stats().logical_reads;
+
+        let before = reads(&d);
+        let (_, out) = d.execute_sql("SELECT COUNT(*) FROM h").unwrap().rows().unwrap();
+        assert_eq!(out[0].i64(0).unwrap(), rows as i64);
+        // The executor pulls 1024-row batches, plus one empty pull at the end.
+        let batches = rows.div_ceil(1024) + 1;
+        let batched = reads(&d) - before;
+        assert!(batched <= 2 * pages + batches, "{batched} page reads for {pages} pages");
+
+        // A cursor re-reads its page on every fetch: the paper's slow path.
+        let before = reads(&d);
+        let mut cursor = d.cursor("h").unwrap();
+        while cursor.fetch_next(&d).unwrap().is_some() {}
+        let stepped = reads(&d) - before;
+        assert!((rows..=rows + pages + 1).contains(&stepped), "{stepped} reads for {rows} fetches");
+    }
+
+    #[test]
+    fn every_resume_is_one_seek() {
+        obs::set_enabled(true);
+        let mut d = db();
+        load_zones(&mut d);
+        let seeks = obs::counter("stardb.btree.seeks");
+        // The counter is process-global and other tests seek concurrently:
+        // an exact delta on one attempt proves the count, a wrong count
+        // would be wrong on every attempt.
+        let exact = |what: &str, want: u64, run: &dyn Fn()| {
+            let hit = (0..50).any(|_| {
+                let before = seeks.get();
+                run();
+                seeks.get() - before == want
+            });
+            assert!(hit, "{what}: never {want} seeks");
+        };
+        exact("cursor walk", 501, &|| {
+            let mut cursor = d.cursor("c").unwrap();
+            while cursor.fetch_next(&d).unwrap().is_some() {}
+        });
+        exact("batches of 7", 72, &|| {
+            drain(d.batch_scan("c").unwrap(), &d, 7);
+        });
+        exact("one batch", 1, &|| {
+            drain(d.batch_scan("c").unwrap(), &d, 1024);
+        });
+        exact("scan_raw", 1, &|| d.scan_raw("c", |_| true).unwrap());
+        exact("range_scan_prefix_raw", 1, &|| {
+            d.range_scan_prefix_raw("c", &[Value::Int(1)], &[Value::Int(3)], |_| true).unwrap();
+        });
+        exact("get", 1, &|| {
+            d.get("c", &zone_row(42).0[..3]).unwrap().unwrap();
+        });
     }
 
     #[test]

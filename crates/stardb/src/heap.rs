@@ -12,14 +12,6 @@ fn inserts() -> &'static obs::Counter {
     C.get_or_init(|| obs::counter("stardb.heap.inserts"))
 }
 
-/// Row-at-a-time cursor steps ([`HeapFile::next_record`]). The paper's
-/// "SQL cursors ... are very slow" claim is this counter times a page
-/// re-read each.
-fn cursor_steps() -> &'static obs::Counter {
-    static C: OnceLock<obs::Counter> = OnceLock::new();
-    C.get_or_init(|| obs::counter("stardb.heap.cursor_steps"))
-}
-
 /// Address of a record inside a heap file.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct RowId {
@@ -36,6 +28,9 @@ pub struct RowId {
 pub struct HeapFile {
     pool: Arc<BufferPool>,
     pages: Vec<PageId>,
+    /// When set, every read resolves pages at this snapshot epoch through
+    /// the MVCC version table, exactly as in [`crate::btree::BTree`].
+    snap: Option<u64>,
 }
 
 impl HeapFile {
@@ -43,7 +38,7 @@ impl HeapFile {
     pub fn create(pool: Arc<BufferPool>) -> DbResult<Self> {
         let first = pool.allocate()?;
         pool.with_page_mut(first, page::init)?;
-        Ok(HeapFile { pool, pages: vec![first] })
+        Ok(HeapFile { pool, pages: vec![first], snap: None })
     }
 
     /// Re-attach a heap recovered from a WAL catalog: the page list was
@@ -52,7 +47,22 @@ impl HeapFile {
         if pages.is_empty() {
             return Err(DbError::Corrupt("recovered heap with no pages".into()));
         }
-        Ok(HeapFile { pool, pages })
+        Ok(HeapFile { pool, pages, snap: None })
+    }
+
+    /// A read-only view of this heap as committed at snapshot epoch `snap`:
+    /// the page list as it stands now, every page read at that epoch.
+    pub(crate) fn at(&self, snap: u64) -> HeapFile {
+        HeapFile { pool: self.pool.clone(), pages: self.pages.clone(), snap: Some(snap) }
+    }
+
+    /// Read a page at this heap's visibility: the pinned snapshot when one
+    /// is set, the live frame otherwise.
+    fn read<R>(&self, pid: PageId, f: impl FnOnce(&[u8]) -> R) -> DbResult<R> {
+        match self.snap {
+            Some(s) => self.pool.with_page_at(pid, s, f),
+            None => self.pool.with_page(pid, f),
+        }
     }
 
     /// Number of pages the heap occupies.
@@ -61,7 +71,7 @@ impl HeapFile {
     }
 
     /// The heap's page list, in scan order (serialized into WAL commit
-    /// catalogs; snapshot scans walk it against a pinned epoch).
+    /// catalogs).
     pub fn pages(&self) -> &[PageId] {
         &self.pages
     }
@@ -95,7 +105,7 @@ impl HeapFile {
 
     /// Fetch a record by address.
     pub fn get(&self, id: RowId) -> DbResult<Option<Vec<u8>>> {
-        self.pool.with_page(id.page, |p| page::get(p, id.slot).map(<[u8]>::to_vec))
+        self.read(id.page, |p| page::get(p, id.slot).map(<[u8]>::to_vec))
     }
 
     /// Delete a record.
@@ -118,80 +128,26 @@ impl HeapFile {
         Ok(())
     }
 
-    /// Iterate every live record as `(RowId, bytes)`.
-    pub fn scan(&self) -> HeapScan<'_> {
-        HeapScan { heap: self, page_idx: 0, buffered: Vec::new(), buf_pos: 0 }
-    }
-
-    /// The first live record after `after` in page order (`None` starts at
-    /// the beginning). This is the heap half of the engine's cursor
-    /// support: each call re-reads the page, which is exactly the
-    /// row-at-a-time cost profile the paper complains about ("SQL cursors
-    /// ... are very slow").
-    pub fn next_record(&self, after: Option<RowId>) -> DbResult<Option<(RowId, Vec<u8>)>> {
-        cursor_steps().incr();
-        let (mut page_idx, mut slot_from) = match after {
-            None => (0usize, 0u16),
-            Some(id) => {
-                let idx = self
-                    .pages
-                    .iter()
-                    .position(|&p| p == id.page)
-                    .ok_or_else(|| DbError::Corrupt(format!("cursor page {} not in heap", id.page)))?;
-                (idx, id.slot + 1)
+    /// Visit the live records of the `page_idx`-th page from `from_slot`
+    /// on, in slot order, as `(slot, bytes)` borrowed from the page under
+    /// one latch. `visit` returns `Ok(false)` to stop; the result is
+    /// `true` when the page ran out and `false` when `visit` stopped it.
+    pub fn visit_page(
+        &self,
+        page_idx: usize,
+        from_slot: u16,
+        mut visit: impl FnMut(u16, &[u8]) -> DbResult<bool>,
+    ) -> DbResult<bool> {
+        self.read(self.pages[page_idx], |p| {
+            for slot in from_slot..page::slot_count(p) as u16 {
+                if let Some(cell) = page::get(p, slot) {
+                    if !visit(slot, cell)? {
+                        return Ok(false);
+                    }
+                }
             }
-        };
-        while page_idx < self.pages.len() {
-            let pid = self.pages[page_idx];
-            let hit = self.pool.with_page(pid, |p| {
-                (slot_from..page::slot_count(p) as u16)
-                    .find_map(|s| page::get(p, s).map(|cell| (s, cell.to_vec())))
-            })?;
-            if let Some((slot, bytes)) = hit {
-                return Ok(Some((RowId { page: pid, slot }, bytes)));
-            }
-            page_idx += 1;
-            slot_from = 0;
-        }
-        Ok(None)
-    }
-}
-
-/// Streaming scan over a heap file. Buffers one page of records at a time,
-/// so memory stays bounded regardless of table size.
-pub struct HeapScan<'a> {
-    heap: &'a HeapFile,
-    page_idx: usize,
-    buffered: Vec<(RowId, Vec<u8>)>,
-    buf_pos: usize,
-}
-
-impl Iterator for HeapScan<'_> {
-    type Item = (RowId, Vec<u8>);
-
-    fn next(&mut self) -> Option<Self::Item> {
-        loop {
-            if self.buf_pos < self.buffered.len() {
-                let item = self.buffered[self.buf_pos].clone();
-                self.buf_pos += 1;
-                return Some(item);
-            }
-            if self.page_idx >= self.heap.pages.len() {
-                return None;
-            }
-            let pid = self.heap.pages[self.page_idx];
-            self.page_idx += 1;
-            self.buf_pos = 0;
-            self.buffered = self
-                .heap
-                .pool
-                .with_page(pid, |p| {
-                    page::iter(p)
-                        .map(|(slot, cell)| (RowId { page: pid, slot }, cell.to_vec()))
-                        .collect()
-                })
-                .unwrap_or_default();
-        }
+            Ok(true)
+        })?
     }
 }
 
@@ -199,7 +155,8 @@ impl Iterator for HeapScan<'_> {
 mod tests {
     use super::*;
     use crate::buffer::DiskProfile;
-    use crate::store::MemStore;
+    use crate::store::{MemStore, PageStore};
+    use std::sync::atomic::{AtomicU32, Ordering};
 
     fn heap() -> HeapFile {
         let pool = Arc::new(BufferPool::new(
@@ -208,6 +165,61 @@ mod tests {
             DiskProfile::instant(),
         ));
         HeapFile::create(pool).unwrap()
+    }
+
+    /// Every live record in page order, through the page visitor.
+    fn scan(h: &HeapFile) -> DbResult<Vec<Vec<u8>>> {
+        let mut out = Vec::new();
+        for idx in 0..h.page_count() {
+            h.visit_page(idx, 0, |_, cell| {
+                out.push(cell.to_vec());
+                Ok(true)
+            })?;
+        }
+        Ok(out)
+    }
+
+    /// A store whose `read_page` fails for one page id (`u32::MAX`: none).
+    struct FailingReads {
+        inner: MemStore,
+        fail: AtomicU32,
+    }
+
+    impl PageStore for FailingReads {
+        fn read_page(&self, id: PageId, buf: &mut [u8]) -> DbResult<()> {
+            if id.0 == self.fail.load(Ordering::SeqCst) {
+                return Err(DbError::Corrupt(format!("injected read failure on page {id}")));
+            }
+            self.inner.read_page(id, buf)
+        }
+        fn write_page(&self, id: PageId, buf: &[u8]) -> DbResult<()> {
+            self.inner.write_page(id, buf)
+        }
+        fn allocate(&self) -> DbResult<PageId> {
+            self.inner.allocate()
+        }
+        fn page_count(&self) -> u32 {
+            self.inner.page_count()
+        }
+    }
+
+    #[test]
+    fn scan_surfaces_a_failed_page_read() {
+        let store =
+            Arc::new(FailingReads { inner: MemStore::new(), fail: AtomicU32::new(u32::MAX) });
+        // Two frames under a six-page heap: scanning to the end evicts the
+        // early pages, so re-reading one of them goes to the store.
+        let pool = Arc::new(BufferPool::new(store.clone(), 2, DiskProfile::instant()));
+        let mut h = HeapFile::create(pool).unwrap();
+        while h.page_count() < 6 {
+            h.insert(&[7u8; 1000]).unwrap();
+        }
+        let all = scan(&h).unwrap();
+        store.fail.store(h.pages()[2].0, Ordering::SeqCst);
+        let err = scan(&h).expect_err("a failed read must not end the scan as a short result");
+        assert!(err.to_string().contains("injected read failure"), "{err}");
+        store.fail.store(u32::MAX, Ordering::SeqCst);
+        assert_eq!(scan(&h).unwrap(), all);
     }
 
     #[test]
@@ -234,9 +246,10 @@ mod tests {
         for i in 0..500u32 {
             h.insert(&i.to_le_bytes()).unwrap();
         }
-        let mut seen: Vec<u32> = h
-            .scan()
-            .map(|(_, bytes)| u32::from_le_bytes(bytes.try_into().unwrap()))
+        let mut seen: Vec<u32> = scan(&h)
+            .unwrap()
+            .into_iter()
+            .map(|bytes| u32::from_le_bytes(bytes.try_into().unwrap()))
             .collect();
         seen.sort_unstable();
         assert_eq!(seen, (0..500).collect::<Vec<_>>());
@@ -249,8 +262,7 @@ mod tests {
         let _b = h.insert(b"b").unwrap();
         h.delete(a).unwrap();
         assert!(h.get(a).unwrap().is_none());
-        let all: Vec<_> = h.scan().map(|(_, b)| b).collect();
-        assert_eq!(all, vec![b"b".to_vec()]);
+        assert_eq!(scan(&h).unwrap(), vec![b"b".to_vec()]);
     }
 
     #[test]
@@ -268,7 +280,7 @@ mod tests {
             h.insert(&[1u8; 500]).unwrap();
         }
         h.truncate().unwrap();
-        assert_eq!(h.scan().count(), 0);
+        assert!(scan(&h).unwrap().is_empty());
         assert_eq!(h.page_count(), 1);
         // And the heap is usable again.
         let id = h.insert(b"fresh").unwrap();

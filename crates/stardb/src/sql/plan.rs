@@ -245,7 +245,7 @@ pub(crate) enum Access {
     /// Scan every stored row.
     Full,
     /// B-tree range over the clustered key between two key prefixes
-    /// (inclusive, prefix semantics as in `Database::range_scan_prefix`).
+    /// (inclusive, prefix semantics as in `Database::range_scan_prefix_raw`).
     ClusteredRange {
         /// Low key prefix.
         lo: Vec<Value>,
