@@ -38,41 +38,44 @@ impl Default for BenchOpts {
     }
 }
 
+const USAGE: &str =
+    "usage: [--scale <float>] [--seed <int>] [--out <dir>] [--workers <int, 1 or more>]";
+
 impl BenchOpts {
-    /// Parse from `std::env::args`.
+    /// Parse from `std::env::args`. `--help` prints the usage line and
+    /// exits 0; an unknown or malformed flag prints it to stderr and
+    /// exits 2.
     pub fn parse() -> Self {
+        let args: Vec<String> = std::env::args().skip(1).collect();
+        if args.iter().any(|a| a == "--help") {
+            println!("{USAGE}");
+            std::process::exit(0);
+        }
+        Self::parse_from(args).unwrap_or_else(|bad| {
+            eprintln!("{bad}; {USAGE}");
+            std::process::exit(2);
+        })
+    }
+
+    fn parse_from(args: Vec<String>) -> Result<Self, String> {
+        fn value<T: std::str::FromStr>(flag: &str, v: Option<String>) -> Result<T, String> {
+            let v = v.ok_or_else(|| format!("{flag} needs a value"))?;
+            v.parse().map_err(|_| format!("bad value {v:?} for {flag}"))
+        }
         let mut opts = BenchOpts::default();
-        let mut args = std::env::args().skip(1);
-        while let Some(a) = args.next() {
-            match a.as_str() {
-                "--scale" => {
-                    opts.scale = args
-                        .next()
-                        .and_then(|v| v.parse().ok())
-                        .expect("--scale needs a float");
-                }
-                "--seed" => {
-                    opts.seed = args
-                        .next()
-                        .and_then(|v| v.parse().ok())
-                        .expect("--seed needs an integer");
-                }
-                "--out" => {
-                    opts.out = args.next().map(PathBuf::from).expect("--out needs a path");
-                }
+        let mut args = args.into_iter();
+        while let Some(flag) = args.next() {
+            match flag.as_str() {
+                "--scale" => opts.scale = value(&flag, args.next())?,
+                "--seed" => opts.seed = value(&flag, args.next())?,
+                "--out" => opts.out = value(&flag, args.next())?,
                 "--workers" => {
-                    opts.workers = args
-                        .next()
-                        .and_then(|v| v.parse().ok())
-                        .filter(|&w| w >= 1)
-                        .expect("--workers needs a positive integer");
+                    opts.workers = value::<std::num::NonZeroUsize>(&flag, args.next())?.get()
                 }
-                other => {
-                    panic!("unknown flag {other} (supported: --scale --seed --out --workers)")
-                }
+                _ => return Err(format!("unknown flag {flag}")),
             }
         }
-        opts
+        Ok(opts)
     }
 
     /// Generate a sky over `region` at the chosen scale.
@@ -205,6 +208,44 @@ mod tests {
         let o = BenchOpts::default();
         assert_eq!(o.scale, 0.05);
         assert_eq!(o.out, PathBuf::from("reports"));
+    }
+
+    #[test]
+    fn parse_reports_bad_flags_instead_of_panicking() {
+        let parse = |args: &[&str]| {
+            BenchOpts::parse_from(args.iter().map(|a| a.to_string()).collect())
+        };
+        let o = parse(&["--scale", "0.02", "--seed", "7", "--out", "x", "--workers", "2"]).unwrap();
+        assert_eq!((o.scale, o.seed, o.out, o.workers), (0.02, 7, PathBuf::from("x"), 2));
+        for bad in [&["--bogus"][..], &["--scale"], &["--scale", "big"], &["--workers", "0"]] {
+            assert!(parse(bad).is_err(), "{bad:?} must be refused");
+        }
+    }
+
+    /// `scripts/run_experiments.sh` is the one list of artifact binaries
+    /// (CI runs it and names none itself): it must name exactly the
+    /// sources under `src/bin`, bar the interactive `skyql`.
+    #[test]
+    fn run_experiments_script_lists_exactly_the_artifact_binaries() {
+        let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
+        let mut bins: Vec<String> = std::fs::read_dir(root.join("src/bin"))
+            .unwrap()
+            .map(|e| e.unwrap().path())
+            .filter(|p| p.extension().is_some_and(|x| x == "rs"))
+            .map(|p| p.file_stem().unwrap().to_str().unwrap().to_owned())
+            .filter(|b| b != "skyql")
+            .collect();
+        bins.sort();
+        let script =
+            std::fs::read_to_string(root.join("../../scripts/run_experiments.sh")).unwrap();
+        let list = script
+            .split("for bin in")
+            .nth(1)
+            .and_then(|s| s.split("; do").next())
+            .expect("script loops `for bin in … ; do`");
+        let mut listed: Vec<&str> = list.split_whitespace().filter(|w| *w != "\\").collect();
+        listed.sort();
+        assert_eq!(listed, bins);
     }
 
     #[test]

@@ -292,11 +292,18 @@ mod tests {
         })
         .unwrap();
         let mut soa: Vec<(i64, u64, u64)> = Vec::new();
+        let pool_reads = db.io_stats().logical_reads;
         visit_nearby_with(db, Some(snap), scheme, ra, dec, r, |id, d, hd| {
             soa.push((id, d.to_bits(), hd.to_bits()));
             true
         })
         .unwrap();
+        // No page access means no latch to wait on, at any worker count.
+        assert_eq!(
+            db.io_stats().logical_reads,
+            pool_reads,
+            "a fresh snapshot must serve the search without touching the buffer pool"
+        );
         assert_eq!(btree, soa, "paths diverged at ({ra},{dec},{r})");
         let mut ids: Vec<i64> = soa.into_iter().map(|(id, _, _)| id).collect();
         ids.sort_unstable();

@@ -5,8 +5,7 @@ set -euo pipefail
 SCALE="${1:-0.25}"
 cd "$(dirname "$0")/.."
 for bin in table1 table2 table3 fig1_buffer_truncation fig3_target_sweep \
-           ablation_spatial ablation_early_filter ablation_cursor \
-           parallel_sweep; do
+           ablation_spatial ablation_early_filter ablation_cursor; do
   echo "==================== $bin (scale $SCALE) ===================="
   cargo run -p bench --release --bin "$bin" -- --scale "$SCALE"
   echo

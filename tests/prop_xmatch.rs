@@ -6,10 +6,13 @@
 //! counts.
 
 use maxbcg::xmatch::{
-    brute_force_xmatch, create_survey_table, load_survey, run_xmatch, XmatchObj, XmatchSpec,
+    brute_force_xmatch, create_survey_table, expected_match_rate, load_survey, run_xmatch,
+    XmatchObj, XmatchSpec,
 };
 use proptest::prelude::*;
-use skycore::ZoneScheme;
+use skycore::kcorr::{KcorrConfig, KcorrTable};
+use skycore::{SkyRegion, ZoneScheme};
+use skysim::{Sky, SkyConfig, SurveyConfig};
 use stardb::sql::execute_with;
 use stardb::{Database, DbConfig, PlanOptions, Value};
 
@@ -19,6 +22,17 @@ fn survey(positions: &[(f64, f64)], id_base: i64) -> Vec<XmatchObj> {
         .enumerate()
         .map(|(k, &(ra, dec))| (id_base + k as i64, ra, dec))
         .collect()
+}
+
+/// An in-memory database holding `a` as `Survey1` and `b` (with the
+/// spec's margin duplicates) as `Survey2`.
+fn surveys_db(a: &[XmatchObj], b: &[XmatchObj], spec: &XmatchSpec) -> Database {
+    let mut db = Database::new(DbConfig::in_memory());
+    create_survey_table(&mut db, "Survey1").unwrap();
+    create_survey_table(&mut db, "Survey2").unwrap();
+    load_survey(&mut db, "Survey1", a, &spec.scheme, 0.0).unwrap();
+    load_survey(&mut db, "Survey2", b, &spec.scheme, spec.margin_deg()).unwrap();
+    db
 }
 
 /// Load both surveys and check default ≡ `naive()` ≡ brute force across
@@ -36,11 +50,7 @@ fn check_all_modes(
         .map(|&(_, _, d)| d.abs())
         .fold(0.0f64, f64::max);
     let spec = XmatchSpec::new(radius, scheme, max_dec);
-    let mut db = Database::new(DbConfig::in_memory());
-    create_survey_table(&mut db, "Survey1").unwrap();
-    create_survey_table(&mut db, "Survey2").unwrap();
-    load_survey(&mut db, "Survey1", a, &scheme, 0.0).unwrap();
-    load_survey(&mut db, "Survey2", b, &scheme, spec.margin_deg()).unwrap();
+    let mut db = surveys_db(a, b, &spec);
 
     let want = brute_force_xmatch(a, b, &spec);
     let planned = run_xmatch(&mut db, &spec, "Survey1", "Survey2", 1, &PlanOptions::default())
@@ -111,12 +121,8 @@ proptest! {
 fn explain_shows_the_zone_join_operator() {
     let scheme = ZoneScheme::with_height(0.1);
     let spec = XmatchSpec::new(0.05, scheme, 5.0);
-    let mut db = Database::new(DbConfig::in_memory());
-    create_survey_table(&mut db, "Survey1").unwrap();
-    create_survey_table(&mut db, "Survey2").unwrap();
     let a: Vec<XmatchObj> = (0..20).map(|i| (i, 10.0 + 0.1 * i as f64, 1.0)).collect();
-    load_survey(&mut db, "Survey1", &a, &scheme, 0.0).unwrap();
-    load_survey(&mut db, "Survey2", &a, &scheme, spec.margin_deg()).unwrap();
+    let mut db = surveys_db(&a, &a, &spec);
     for prefix in ["EXPLAIN", "EXPLAIN ANALYZE"] {
         let sql = format!("{prefix} {}", spec.sql("Survey1", "Survey2", None));
         let (_, rows) = execute_with(&mut db, &sql, &PlanOptions::default())
@@ -151,11 +157,7 @@ fn zone_join_examines_fewer_pairs_than_the_cross_product() {
         .collect();
     let b: Vec<XmatchObj> =
         a.iter().map(|&(id, ra, dec)| (1000 + id, ra + 0.001, dec)).collect();
-    let mut db = Database::new(DbConfig::in_memory());
-    create_survey_table(&mut db, "Survey1").unwrap();
-    create_survey_table(&mut db, "Survey2").unwrap();
-    load_survey(&mut db, "Survey1", &a, &scheme, 0.0).unwrap();
-    load_survey(&mut db, "Survey2", &b, &scheme, spec.margin_deg()).unwrap();
+    let mut db = surveys_db(&a, &b, &spec);
     let pairs =
         run_xmatch(&mut db, &spec, "Survey1", "Survey2", 1, &PlanOptions::default()).unwrap();
     assert_eq!(pairs.len(), n as usize);
@@ -185,4 +187,38 @@ fn zone_join_examines_fewer_pairs_than_the_cross_product() {
         "zone join examined {examined} pairs, cross product is {}",
         n * n
     );
+}
+
+/// The physics behind the match radius: re-observe a `skysim` sky (90 %
+/// complete, 0.3″ per-axis scatter) and the fraction of truth objects the
+/// zone join pairs with their own re-observation must sit within ±0.02 of
+/// the closed form `completeness · Rayleigh(r; σ)` — at 1″, where the
+/// Rayleigh term saturates and completeness decides, and at 0.4″, where
+/// the scatter decides.
+#[test]
+fn match_rate_on_a_reobserved_sky_follows_the_closed_form() {
+    let region = SkyRegion::new(150.0, 158.0, 1.25, 3.75);
+    let kcorr = KcorrTable::generate(KcorrConfig::default());
+    let sky = Sky::generate(region, &SkyConfig::scaled(0.05), &kcorr, 2005);
+    let survey = SurveyConfig::paper();
+    let truth: Vec<XmatchObj> = sky.galaxies.iter().map(|g| (g.objid, g.ra, g.dec)).collect();
+    let second: Vec<XmatchObj> =
+        sky.second_survey(&survey, 2006).iter().map(|o| (o.objid, o.ra, o.dec)).collect();
+    assert!(truth.len() >= 5000, "only {} truth objects", truth.len());
+
+    let scheme = ZoneScheme::with_height(30.0 / 3600.0);
+    for radius_arcsec in [1.0, 0.4] {
+        let radius = radius_arcsec / 3600.0;
+        let spec = XmatchSpec::new(radius, scheme, region.dec_max + 0.01);
+        let mut db = surveys_db(&truth, &second, &spec);
+        let pairs =
+            run_xmatch(&mut db, &spec, "Survey1", "Survey2", 1, &PlanOptions::default()).unwrap();
+        let correct = pairs.iter().filter(|&&(a, b)| a == b).count();
+        let rate = correct as f64 / truth.len() as f64;
+        let want = expected_match_rate(survey.completeness, survey.scatter_arcsec, radius);
+        assert!(
+            (rate - want).abs() <= 0.02,
+            "{radius_arcsec}\": matched {rate:.4} of the truth objects, closed form {want:.4}"
+        );
+    }
 }

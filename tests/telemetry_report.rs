@@ -10,7 +10,9 @@ use skycore::kcorr::KcorrTable;
 use skycore::types::{Candidate, Cluster, ClusterMember};
 use skycore::SkyRegion;
 use skysim::{Sky, SkyConfig};
-use stardb::{Column, DataType, Database, DbConfig, Row, Schema, Value, WalConfig};
+use stardb::{
+    Column, DataType, Database, DbConfig, FsyncPolicy, Row, Schema, Value, WalConfig,
+};
 use std::sync::Mutex;
 
 /// These tests flip and reset process-global telemetry state; serialize
@@ -40,7 +42,7 @@ fn tiny_run_with(
     // A small durable round so the stardb.wal.* / stardb.mvcc.* counters
     // register alongside the in-memory pipeline's (the catalog tuple
     // returned below is untouched by it).
-    durable_exercise(label);
+    durable_exercise(label, FsyncPolicy::Commit);
     // And a small scatter–gather round (with an always-crash first attempt
     // so failover retries register) for the stardb.dist.* family.
     dist_exercise();
@@ -114,7 +116,9 @@ fn dist_exercise() {
 /// Exercise the durability path end to end: commits through the WAL, a
 /// pinned snapshot riding over a concurrent commit (copy-on-write), a
 /// garbage log tail (torn-record detection), and a recovery reopen.
-fn durable_exercise(label: &str) {
+/// Returns the `stardb.wal.fsyncs` its three data commits spent under
+/// `fsync`.
+fn durable_exercise(label: &str, fsync: FsyncPolicy) -> u64 {
     let dir =
         std::env::temp_dir().join(format!("stardb-telemetry-{label}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
@@ -128,28 +132,33 @@ fn durable_exercise(label: &str) {
         }
         db.commit().unwrap();
     };
-    {
-        let mut db =
-            Database::open(&dir, DbConfig::tiny(64), WalConfig::default()).expect("open durable");
+    let wal = WalConfig { fsync, ..WalConfig::default() };
+    let fsyncs = obs::counter("stardb.wal.fsyncs");
+    let fsyncs_spent = {
+        let mut db = Database::open(&dir, DbConfig::tiny(64), wal).expect("open durable");
         db.create_clustered_table("t", schema, &["objid"]).unwrap();
+        let fsyncs_before = fsyncs.get();
         put(&mut db, 0..32);
         let snap = db.snapshot();
         put(&mut db, 32..64); // copy-on-write under the pin
         assert_eq!(snap.row_count("t").unwrap(), 32, "pinned snapshot moved");
         drop(snap);
         put(&mut db, 64..96); // watermark advance reclaims the versions
+        let spent = fsyncs.get() - fsyncs_before;
         drop(db); // no close(): the log must carry the state to recovery
-    }
+        spent
+    };
     // Garbage tail: recovery must detect it by checksum and truncate.
     use std::io::Write as _;
     let log = dir.join("wal").join("wal.000000.log");
     let mut f = std::fs::OpenOptions::new().append(true).open(&log).expect("wal segment");
     f.write_all(&[0xAB; 48]).unwrap();
     drop(f);
-    let db = Database::open(&dir, DbConfig::tiny(64), WalConfig::default()).expect("recovery");
+    let db = Database::open(&dir, DbConfig::tiny(64), wal).expect("recovery");
     assert_eq!(db.row_count("t").unwrap(), 96, "recovery lost committed rows");
     drop(db);
     let _ = std::fs::remove_dir_all(&dir);
+    fsyncs_spent
 }
 
 /// Counters the acceptance criteria name: buffer hit/miss and page I/O
@@ -294,6 +303,11 @@ fn table1_run_report_is_complete_and_round_trips() {
     let back = obs::RunReport::from_json(&json).expect("parses");
     assert_eq!(report, back);
     assert_eq!(json, back.to_canonical_json());
+
+    // The fsync policy is honoured: `Commit` pays at least one fsync per
+    // commit, `Never` not a single one.
+    assert!(durable_exercise("fsync-commit", FsyncPolicy::Commit) >= 3);
+    assert_eq!(durable_exercise("fsync-never", FsyncPolicy::Never), 0);
     obs::reset();
 }
 
