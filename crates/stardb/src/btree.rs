@@ -277,19 +277,34 @@ impl BTree {
 
     /// Point lookup: the payload stored under `key`.
     pub fn get(&self, key: &[u8]) -> DbResult<Option<Vec<u8>>> {
+        self.get_with(key, <[u8]>::to_vec)
+    }
+
+    /// Point lookup without a copy: `visit` is lent the payload stored
+    /// under `key` straight from the leaf cell, under the latch of the
+    /// page holding it — so, like a [`BTree::scan_range_with`] visitor, it
+    /// must not read through the same buffer pool. `None` when the key is
+    /// absent.
+    pub(crate) fn get_with<R>(
+        &self,
+        key: &[u8],
+        visit: impl FnOnce(&[u8]) -> R,
+    ) -> DbResult<Option<R>> {
         seeks().incr();
         let mut pid = self.root;
+        let mut visit = Some(visit);
         loop {
-            enum Step {
+            enum Step<R> {
                 Descend(PageId),
-                Found(Option<Vec<u8>>),
+                Found(Option<R>),
             }
-            let step = self.read(pid, |p| -> DbResult<Step> {
+            let step = self.read(pid, |p| -> DbResult<Step<R>> {
                 if node_type(p) == T_INNER {
                     Ok(Step::Descend(child_for(p, key)?))
                 } else {
                     let (pos, exact) = search(p, key);
-                    Ok(Step::Found(exact.then(|| cell_payload(p, pos).to_vec())))
+                    let visit = visit.take().expect("a leaf ends the descent");
+                    Ok(Step::Found(exact.then(|| visit(cell_payload(p, pos)))))
                 }
             })??;
             match step {
@@ -299,14 +314,22 @@ impl BTree {
         }
     }
 
-    /// Insert a unique key. [`DbError::DuplicateKey`] if present.
-    pub fn insert(&mut self, key: &[u8], payload: &[u8]) -> DbResult<()> {
+    /// Whether one node can hold `key` with `payload`
+    /// ([`DbError::RecordTooLarge`] otherwise): the check [`BTree::insert`]
+    /// makes, for a writer that must know before it changes any tree.
+    pub(crate) fn check_entry(key: &[u8], payload: &[u8]) -> DbResult<()> {
         if 2 + key.len() + payload.len() > MAX_ENTRY {
             return Err(DbError::RecordTooLarge {
                 size: key.len() + payload.len(),
                 max: MAX_ENTRY,
             });
         }
+        Ok(())
+    }
+
+    /// Insert a unique key. [`DbError::DuplicateKey`] if present.
+    pub fn insert(&mut self, key: &[u8], payload: &[u8]) -> DbResult<()> {
+        Self::check_entry(key, payload)?;
         match self.insert_rec(self.root, key, payload)? {
             Ins::Done => {}
             Ins::Split { sep, right } => {

@@ -17,6 +17,17 @@
 //! round-trip through the bitmap regardless of the placeholder stored in
 //! the typed buffer.
 //!
+//! A batch keeps the table's layout even when the plan reads only some of
+//! its columns: a column the plan never reads is *absent*
+//! ([`ColumnData::Absent`]) — no buffer, nothing pushed per row, the same
+//! position as in the table, so no expression is remapped. The decoders
+//! check an absent column's framing and keep nothing (and, where the row
+//! format allows, find the kept ones by offset instead of walking to them:
+//! `FixedLayout`); gathers and appends carry it along for free; it reads
+//! as NULL through [`Column::value`], and the typed paths (kernels, hash
+//! build and probe, key encoding), which a correct plan never points at
+//! one, `debug_assert!` that.
+//!
 //! [`VPredicate`] compiles the planner's residual predicates into branch-
 //! light kernels over a tri-state truth vector (false / true / NULL —
 //! SQL's three-valued logic). Only shapes whose columnar evaluation is
@@ -31,7 +42,7 @@
 
 use crate::error::{DbError, DbResult};
 use crate::expr::{BinOp, Expr};
-use crate::key::encode_value;
+use crate::key::{encode_value, next_field, KeyField};
 use crate::row::{self, Row};
 use crate::value::{DataType, Value};
 use bytes::Buf;
@@ -118,6 +129,9 @@ pub enum ColumnData {
         /// Concatenated UTF-8 payloads.
         bytes: Vec<u8>,
     },
+    /// A column of this declared type that the plan does not read: it
+    /// holds no values at any batch length (see the module docs).
+    Absent(DataType),
 }
 
 /// One column of a [`ColumnBatch`]: typed buffer plus null bitmap.
@@ -148,9 +162,19 @@ impl Column {
         Column { data, nulls: NullMask::with_capacity(cap) }
     }
 
+    fn absent(dtype: DataType) -> Column {
+        Column { data: ColumnData::Absent(dtype), nulls: NullMask::default() }
+    }
+
+    /// Does the column hold no values because the plan does not read it?
+    pub fn is_absent(&self) -> bool {
+        matches!(self.data, ColumnData::Absent(_))
+    }
+
     /// The column's declared type.
     pub fn dtype(&self) -> DataType {
         match &self.data {
+            ColumnData::Absent(dtype) => *dtype,
             ColumnData::BigInt(_) => DataType::BigInt,
             ColumnData::Int(_) => DataType::Int,
             ColumnData::Real(_) => DataType::Real,
@@ -159,10 +183,10 @@ impl Column {
         }
     }
 
-    /// Is the cell at row `i` NULL?
+    /// Is the cell at row `i` NULL? Every cell of an absent column is.
     #[inline]
     pub fn is_null(&self, i: usize) -> bool {
-        self.nulls.is_null(i)
+        self.is_absent() || self.nulls.is_null(i)
     }
 
     #[inline]
@@ -173,8 +197,72 @@ impl Column {
             ColumnData::Real(v) => v.push(0.0),
             ColumnData::Float(v) => v.push(0.0),
             ColumnData::Text { offsets, .. } => offsets.push(*offsets.last().expect("base offset")),
+            ColumnData::Absent(_) => return,
         }
         self.nulls.push(true);
+    }
+
+    /// Append the non-NULL value of this present fixed-width column that
+    /// `bytes` starts with ([`FixedLayout`]).
+    #[inline]
+    fn push_fixed(&mut self, bytes: &[u8]) {
+        fn le<const N: usize>(bytes: &[u8]) -> [u8; N] {
+            *bytes.first_chunk().expect("the row is as long as its layout")
+        }
+        match &mut self.data {
+            ColumnData::BigInt(v) => v.push(i64::from_le_bytes(le(bytes))),
+            ColumnData::Int(v) => v.push(i32::from_le_bytes(le(bytes))),
+            ColumnData::Real(v) => v.push(f32::from_le_bytes(le(bytes))),
+            ColumnData::Float(v) => v.push(f64::from_le_bytes(le(bytes))),
+            ColumnData::Text { .. } | ColumnData::Absent(_) => {
+                unreachable!("a fixed layout keeps present fixed-width columns")
+            }
+        }
+        self.nulls.push(false);
+    }
+
+    /// Append one field of an index entry. The key codec widened `int` to
+    /// `i64` and `real` to `f64` losslessly, so narrowing back is exact and
+    /// the cell is bit-identical to the one the table row holds; a field
+    /// that is not such a widening was never written by this engine.
+    fn push_key_field(&mut self, field: KeyField<'_>) -> DbResult<()> {
+        let misfit = |what: &str, dtype: DataType| {
+            Err(DbError::Corrupt(format!("index entry holds {what} for a {dtype} column")))
+        };
+        match (&mut self.data, field) {
+            (_, KeyField::Null) => {
+                self.push_null();
+                return Ok(());
+            }
+            (ColumnData::BigInt(v), KeyField::Int(x)) => v.push(x),
+            (ColumnData::Int(v), KeyField::Int(x)) => match i32::try_from(x) {
+                Ok(x) => v.push(x),
+                Err(_) => return misfit(&format!("the integer {x}"), DataType::Int),
+            },
+            (ColumnData::Float(v), KeyField::Num(x)) => v.push(x),
+            (ColumnData::Real(v), KeyField::Num(x)) => {
+                let narrow = x as f32;
+                if f64::from(narrow).to_bits() != x.to_bits() {
+                    return misfit(&format!("the float {x}"), DataType::Real);
+                }
+                v.push(narrow);
+            }
+            (ColumnData::Text { offsets, bytes }, KeyField::Text(s)) => {
+                bytes.extend_from_slice(s.as_bytes());
+                offsets.push(bytes.len() as u32);
+            }
+            (ColumnData::Absent(dtype), field) => {
+                return match (*dtype, field) {
+                    (DataType::BigInt | DataType::Int, KeyField::Int(_))
+                    | (DataType::Real | DataType::Float, KeyField::Num(_))
+                    | (DataType::Text, KeyField::Text(_)) => Ok(()),
+                    (dtype, _) => misfit("a field of another type", dtype),
+                };
+            }
+            _ => return misfit("a field of another type", self.dtype()),
+        }
+        self.nulls.push(false);
+        Ok(())
     }
 
     fn push_value(&mut self, v: &Value) -> DbResult<()> {
@@ -205,10 +293,11 @@ impl Column {
     /// Materialize the cell at row `i` as a `Value` (the only place a
     /// per-cell allocation can happen, and only for text).
     pub fn value(&self, i: usize) -> Value {
-        if self.nulls.is_null(i) {
+        if self.is_null(i) {
             return Value::Null;
         }
         match &self.data {
+            ColumnData::Absent(_) => Value::Null,
             ColumnData::BigInt(v) => Value::BigInt(v[i]),
             ColumnData::Int(v) => Value::Int(v[i]),
             ColumnData::Real(v) => Value::Real(v[i]),
@@ -223,7 +312,7 @@ impl Column {
     /// Text payload of row `i` as bytes (NULL and non-text return `None`).
     #[inline]
     pub fn text_at(&self, i: usize) -> Option<&[u8]> {
-        if self.nulls.is_null(i) {
+        if self.is_null(i) {
             return None;
         }
         match &self.data {
@@ -236,6 +325,7 @@ impl Column {
 
     fn gather(&self, sel: &[u32]) -> Column {
         let data = match &self.data {
+            ColumnData::Absent(dtype) => return Column::absent(*dtype),
             ColumnData::BigInt(v) => {
                 ColumnData::BigInt(sel.iter().map(|&i| v[i as usize]).collect())
             }
@@ -271,6 +361,7 @@ impl Column {
                 ab.extend_from_slice(bb);
                 ao.extend(bo.iter().skip(1).map(|&o| base + o));
             }
+            (ColumnData::Absent(a), ColumnData::Absent(b)) if a == b => return Ok(()),
             _ => {
                 return Err(DbError::TypeError(format!(
                     "cannot append a {} column to a {} column",
@@ -292,15 +383,78 @@ impl Column {
 pub struct ColumnBatch {
     cols: Vec<Column>,
     len: usize,
+    /// Set on a batch made to decode rows into, when its column types allow
+    /// one; derived batches (gathers, join outputs) carry none.
+    fixed: Option<FixedLayout>,
+}
+
+/// Where a row's values sit when every column is fixed-width and no value
+/// is NULL: at offsets known from the column types alone. A NULL takes one
+/// byte instead of `1 + width`, so a well-formed row is `row_len` bytes
+/// long exactly when it has none — the length picks the layout, and
+/// [`ColumnBatch::push_wire`] reads such a row by offset instead of walking
+/// it tag by tag, where a value it does not keep costs as much as one it
+/// does.
+#[derive(Debug, Clone)]
+struct FixedLayout {
+    row_len: usize,
+    /// One per column, in order.
+    cells: Vec<FixedCell>,
+}
+
+#[derive(Debug, Clone, Copy)]
+struct FixedCell {
+    /// Offset of the value's tag byte; the value follows it.
+    at: u32,
+    /// The tag a non-NULL value of the column's type carries.
+    tag: u8,
+    /// Whether the column is present.
+    kept: bool,
+}
+
+impl FixedLayout {
+    /// The layout of `cols`, or `None` when one of them is text.
+    fn of(cols: &[Column]) -> Option<FixedLayout> {
+        let mut layout = FixedLayout { row_len: 0, cells: Vec::with_capacity(cols.len()) };
+        for col in cols {
+            let (tag, width) = match col.dtype() {
+                DataType::BigInt => (row::TAG_BIGINT, 8),
+                DataType::Int => (row::TAG_INT, 4),
+                DataType::Real => (row::TAG_REAL, 4),
+                DataType::Float => (row::TAG_FLOAT, 8),
+                DataType::Text => return None,
+            };
+            let at = layout.row_len as u32;
+            layout.cells.push(FixedCell { at, tag, kept: !col.is_absent() });
+            layout.row_len += 1 + width;
+        }
+        Some(layout)
+    }
 }
 
 impl ColumnBatch {
     /// An empty batch with per-column buffers sized for `cap` rows.
     pub fn with_capacity(dtypes: &[DataType], cap: usize) -> ColumnBatch {
-        ColumnBatch {
-            cols: dtypes.iter().map(|&t| Column::with_capacity(t, cap)).collect(),
-            len: 0,
-        }
+        ColumnBatch::decoding_into(dtypes.iter().map(|&t| Column::with_capacity(t, cap)).collect())
+    }
+
+    fn decoding_into(cols: Vec<Column>) -> ColumnBatch {
+        ColumnBatch { fixed: FixedLayout::of(&cols), cols, len: 0 }
+    }
+
+    /// An empty batch in the layout `dtypes` whose column `c` is present
+    /// when `needed[c]` and absent otherwise (see the module docs).
+    pub(crate) fn with_projection(
+        dtypes: &[DataType],
+        needed: &[bool],
+        cap: usize,
+    ) -> ColumnBatch {
+        assert_eq!(dtypes.len(), needed.len(), "one flag per table column");
+        let col = |(&dtype, &read)| match read {
+            true => Column::with_capacity(dtype, cap),
+            false => Column::absent(dtype),
+        };
+        ColumnBatch::decoding_into(dtypes.iter().zip(needed).map(col).collect())
     }
 
     /// Rows in the batch.
@@ -352,10 +506,27 @@ impl ColumnBatch {
     }
 
     /// Decode one row-codec payload (see [`crate::row`]) straight into the
-    /// column buffers — the no-`Row` scan path. The wire tags must match
-    /// the batch's column types (they do for any schema-checked table);
-    /// trailing bytes are corruption, exactly as in [`Row::decode`].
+    /// column buffers — the no-`Row` scan path, and the one row decoder:
+    /// an absent column's value is framing-checked and stepped over. The
+    /// wire tags must match the batch's column types (they do for any
+    /// schema-checked table); trailing bytes are corruption, exactly as in
+    /// [`Row::decode`].
     pub fn push_wire(&mut self, mut buf: &[u8]) -> DbResult<()> {
+        if let Some(fixed) = self.fixed.as_ref().filter(|fixed| fixed.row_len == buf.len()) {
+            // The length admits one layout (`FixedLayout`): every tag is
+            // where that puts it, or the row is malformed.
+            for (col, cell) in self.cols.iter_mut().zip(&fixed.cells) {
+                let at = cell.at as usize;
+                if buf[at] != cell.tag {
+                    return Err(tag_misfit(buf[at], col.dtype()));
+                }
+                if cell.kept {
+                    col.push_fixed(&buf[at + 1..]);
+                }
+            }
+            self.len += 1;
+            return Ok(());
+        }
         for col in &mut self.cols {
             if !buf.has_remaining() {
                 return Err(DbError::Corrupt("row truncated".into()));
@@ -392,12 +563,22 @@ impl ColumnBatch {
                     offsets.push(bytes.len() as u32);
                     buf.advance(len);
                 }
-                _ => {
-                    return Err(DbError::Corrupt(format!(
-                        "value tag {tag} does not fit a {} column",
-                        col.dtype()
-                    )))
+                (ColumnData::Absent(dtype), tag) => {
+                    let len = match (*dtype, tag) {
+                        (DataType::BigInt, row::TAG_BIGINT)
+                        | (DataType::Float, row::TAG_FLOAT) => 8,
+                        (DataType::Int, row::TAG_INT) | (DataType::Real, row::TAG_REAL) => 4,
+                        (DataType::Text, row::TAG_TEXT) => {
+                            ensure(buf.remaining() >= 4)?;
+                            buf.get_u32_le() as usize
+                        }
+                        (dtype, tag) => return Err(tag_misfit(tag, dtype)),
+                    };
+                    ensure(buf.remaining() >= len)?;
+                    buf.advance(len);
+                    continue;
                 }
+                _ => return Err(tag_misfit(tag, col.dtype())),
             }
             col.nulls.push(false);
         }
@@ -406,6 +587,45 @@ impl ColumnBatch {
         }
         self.len += 1;
         Ok(())
+    }
+
+    /// Decode one secondary-index entry — order-preserving key bytes (see
+    /// [`crate::key`]) holding exactly one field per element of `fields` —
+    /// into the batch: field `f` is the cell of column `fields[f]`. A
+    /// column named twice (indexed *and* clustering) takes its first field.
+    /// Every present column must be named. Returns the byte offset of field
+    /// `split` within `key`, where the entry's locator starts.
+    pub(crate) fn push_key(
+        &mut self,
+        key: &[u8],
+        fields: &[usize],
+        split: usize,
+    ) -> DbResult<usize> {
+        let mut buf = key;
+        let mut split_at = key.len();
+        for (f, &c) in fields.iter().enumerate() {
+            if f == split {
+                split_at = key.len() - buf.len();
+            }
+            let Some(field) = next_field(&mut buf)? else {
+                return Err(DbError::Corrupt(format!(
+                    "index entry has {f} fields, its index and clustering columns {}",
+                    fields.len()
+                )));
+            };
+            let col = &mut self.cols[c];
+            if col.is_absent() || col.nulls.len == self.len {
+                col.push_key_field(field)?;
+            }
+        }
+        if !buf.is_empty() {
+            return Err(DbError::Corrupt(format!(
+                "index entry has more than the {} fields of its index and clustering columns",
+                fields.len()
+            )));
+        }
+        self.len += 1;
+        Ok(split_at)
     }
 
     /// Build a batch from materialized rows (see [`ColumnBatch::push_row`]).
@@ -437,7 +657,11 @@ impl ColumnBatch {
     /// Columnwise gather: the batch containing exactly the selected rows,
     /// in selection order.
     pub fn gather(&self, sel: &[u32]) -> ColumnBatch {
-        ColumnBatch { cols: self.cols.iter().map(|c| c.gather(sel)).collect(), len: sel.len() }
+        ColumnBatch {
+            cols: self.cols.iter().map(|c| c.gather(sel)).collect(),
+            len: sel.len(),
+            fixed: None,
+        }
     }
 
     /// Append all of `other`'s rows (columns must match in type).
@@ -468,8 +692,12 @@ impl ColumnBatch {
         let mut cols = Vec::with_capacity(left.cols.len() + right.cols.len());
         cols.extend(left.cols.iter().map(|c| c.gather(li)));
         cols.extend(right.cols.iter().map(|c| c.gather(ri)));
-        ColumnBatch { cols, len: li.len() }
+        ColumnBatch { cols, len: li.len(), fixed: None }
     }
+}
+
+fn tag_misfit(tag: u8, dtype: DataType) -> DbError {
+    DbError::Corrupt(format!("value tag {tag} does not fit a {dtype} column"))
 }
 
 fn ensure(ok: bool) -> DbResult<()> {
@@ -700,15 +928,23 @@ fn compile_kernel(pred: &Expr, dtypes: &[DataType]) -> Option<Kernel> {
     }
 }
 
+/// The column a typed path is about to read. The planner marks every
+/// column an operator reads as needed, so none of them is ever absent.
+fn read_col(batch: &ColumnBatch, col: usize) -> &Column {
+    let c = batch.col(col);
+    debug_assert!(!c.is_absent(), "a typed path reads column {col}, which the plan left absent");
+    c
+}
+
 impl Kernel {
     fn eval(&self, batch: &ColumnBatch, out: &mut [u8]) {
         match self {
             Kernel::CmpNum { col, op, lit } => {
-                let c = batch.col(*col);
+                let c = read_col(batch, *col);
                 cmp_num_kernel(c, *op, *lit, out);
             }
             Kernel::CmpText { col, op, lit } => {
-                let c = batch.col(*col);
+                let c = read_col(batch, *col);
                 let y = lit.as_bytes();
                 if let ColumnData::Text { offsets, bytes } = &c.data {
                     for (i, t) in out.iter_mut().enumerate() {
@@ -722,16 +958,16 @@ impl Kernel {
                 }
             }
             Kernel::BetweenNum { col, lo, hi } => {
-                between_kernel(batch.col(*col), *lo, *hi, out);
+                between_kernel(read_col(batch, *col), *lo, *hi, out);
             }
             Kernel::IsNullCol { col } => {
-                let c = batch.col(*col);
+                let c = read_col(batch, *col);
                 for (i, t) in out.iter_mut().enumerate() {
-                    *t = c.nulls.is_null(i) as u8;
+                    *t = c.is_null(i) as u8;
                 }
             }
             Kernel::TruthyCol { col } => {
-                let c = batch.col(*col);
+                let c = read_col(batch, *col);
                 cmp_num_kernel(c, CmpOp::Ne, 0.0, out);
             }
             Kernel::Not(k) => {
@@ -805,7 +1041,7 @@ fn cmp_num_kernel(c: &Column, op: CmpOp, lit: f64, out: &mut [u8]) {
         ColumnData::Float(v) => run!(v),
         // Unreachable by compilation rules; mark every row NULL (filters
         // drop NULL) rather than panic.
-        ColumnData::Text { .. } => out.fill(T_NULL),
+        ColumnData::Text { .. } | ColumnData::Absent(_) => out.fill(T_NULL),
     }
 }
 
@@ -836,7 +1072,7 @@ fn between_kernel(c: &Column, lo: f64, hi: f64, out: &mut [u8]) {
         ColumnData::Int(v) => run!(v),
         ColumnData::Real(v) => run!(v),
         ColumnData::Float(v) => run!(v),
-        ColumnData::Text { .. } => out.fill(T_NULL),
+        ColumnData::Text { .. } | ColumnData::Absent(_) => out.fill(T_NULL),
     }
 }
 
@@ -861,7 +1097,7 @@ enum KeyMap {
 impl ColumnHashTable {
     /// Hash `build` on `key_col`.
     pub fn build(build: ColumnBatch, key_col: usize) -> DbResult<ColumnHashTable> {
-        let col = build.col(key_col);
+        let col = read_col(&build, key_col);
         let map = match &col.data {
             ColumnData::BigInt(v) => {
                 let mut m: HashMap<i64, Vec<u32>> = HashMap::with_capacity(v.len());
@@ -912,7 +1148,7 @@ impl ColumnHashTable {
     /// produces. The key column is hashed columnwise; output columns are
     /// built by gather, never row by row.
     pub fn probe(&self, left: &ColumnBatch, left_col: usize) -> DbResult<ColumnBatch> {
-        let col = left.col(left_col);
+        let col = read_col(left, left_col);
         let mut li: Vec<u32> = Vec::new();
         let mut ri: Vec<u32> = Vec::new();
         let mut push = |i: usize, hits: &[u32]| {
@@ -963,7 +1199,7 @@ impl ColumnHashTable {
 /// `encode_key`, minus its per-row allocation).
 pub fn encode_cell_key(batch: &ColumnBatch, col: usize, i: usize, out: &mut Vec<u8>) {
     out.clear();
-    encode_value(&batch.value(col, i), out);
+    encode_value(&read_col(batch, col).value(i), out);
 }
 
 #[cfg(test)]
@@ -1023,6 +1259,139 @@ mod tests {
         let mut ok = Row(vec![Value::Int(1)]).encode();
         ok.push(0);
         assert!(batch.push_wire(&ok).is_err());
+    }
+
+    /// An index entry decodes to the very cells its row decodes to: the
+    /// key codec's widening (`int`→`i64`, `real`→`f64`) narrows back
+    /// exactly, NULL, signed zero, NaN and text included.
+    #[test]
+    fn key_decode_is_bit_identical_to_wire_decode() {
+        use crate::key::encode_key;
+        let mut edge = rows();
+        edge.push(Row(vec![
+            Value::BigInt(i64::MIN),
+            Value::Int(i32::MAX),
+            Value::Real(-0.0),
+            Value::Float(f64::NAN),
+            Value::Text("zone".into()),
+        ]));
+        edge.push(Row(vec![
+            Value::BigInt(0),
+            Value::Int(0),
+            Value::Real(0.1),
+            Value::Float(0.1),
+            Value::Text("é".into()),
+        ]));
+        // Fields in another order than the columns, one column twice.
+        let fields = [3, 4, 0, 2, 1, 0];
+        let (mut from_key, mut from_wire) =
+            (ColumnBatch::with_capacity(&dtypes(), 8), ColumnBatch::with_capacity(&dtypes(), 8));
+        for row in &edge {
+            let key = encode_key(&fields.map(|c| row[c].clone()));
+            let at = from_key.push_key(&key, &fields, 4).unwrap();
+            assert_eq!(key[at..], encode_key(&[row[1].clone(), row[0].clone()]), "locator");
+            from_wire.push_wire(&row.encode()).unwrap();
+        }
+        for (i, row) in edge.iter().enumerate() {
+            assert_eq!(from_key.row(i).encode(), row.encode(), "row {i} through the key");
+            assert_eq!(from_wire.row(i).encode(), row.encode(), "row {i} through the wire");
+        }
+    }
+
+    /// Absent columns: same layout, no cells; decoders step over them,
+    /// gathers and appends carry them, and they read as NULL.
+    #[test]
+    fn absent_columns_keep_the_layout_and_hold_nothing() {
+        let needed = [true, false, false, true, false];
+        let mut batch = ColumnBatch::with_projection(&dtypes(), &needed, 4);
+        for row in rows() {
+            batch.push_wire(&row.encode()).unwrap();
+        }
+        assert_eq!((batch.len(), batch.num_cols()), (3, 5));
+        assert_eq!(batch.dtypes(), dtypes());
+        let expect = |i: usize| {
+            let mut row = rows()[i].clone();
+            for (cell, read) in row.0.iter_mut().zip(needed) {
+                if !read {
+                    *cell = Value::Null;
+                }
+            }
+            row.encode()
+        };
+        assert_eq!(batch.row(2).encode(), expect(2));
+        let mut scratch = Vec::new();
+        batch.read_row_into(0, &mut scratch);
+        assert_eq!(Row(scratch).encode(), expect(0));
+        let picked = batch.gather(&[2, 0]);
+        assert!(picked.col(1).is_absent() && !picked.col(3).is_absent());
+        assert_eq!(picked.row(0).encode(), expect(2));
+        let mut all = ColumnBatch::with_projection(&dtypes(), &needed, 0);
+        all.extend_from(&batch).unwrap();
+        all.extend_from(&picked).unwrap();
+        assert_eq!((all.len(), all.row(4).encode()), (5, expect(0)));
+        let joined = ColumnBatch::concat_gather(&batch, &[1, 2], &picked, &[0, 1]);
+        assert!(joined.col(2).is_absent() && joined.col(6).is_absent());
+        assert_eq!(joined.value(8, 1), rows()[0][3]);
+        // A batch that holds the column does not take one that lacks it.
+        assert!(ColumnBatch::with_capacity(&dtypes(), 0).extend_from(&batch).is_err());
+        // The framing of a stepped-over value is still checked.
+        let mut short = rows()[0].encode();
+        short.truncate(short.len() - 3);
+        assert!(batch.push_wire(&short).is_err());
+        let swapped = Row(vec![Value::BigInt(1), Value::Float(1.0)]).encode();
+        let mut two =
+            ColumnBatch::with_projection(&[DataType::BigInt, DataType::Int], &[true, false], 1);
+        assert!(two.push_wire(&swapped).is_err(), "a FLOAT where the absent INT column sits");
+    }
+
+    /// Reading a NULL-free all-fixed-width row by offset gives the cells
+    /// walking it gives; a NULL (a shorter row) or a misplaced tag (a row of
+    /// that length that is not that layout) takes the walk or is refused.
+    #[test]
+    fn rows_read_by_offset_are_the_rows_read_by_walking() {
+        let dt = [DataType::BigInt, DataType::Int, DataType::Real, DataType::Float];
+        let row = |a: Value, b: Value, c: Value, d: Value| Row(vec![a, b, c, d]);
+        let corpus = [
+            row(Value::BigInt(i64::MIN), Value::Int(i32::MAX), Value::Real(-0.0), Value::Float(0.1)),
+            row(Value::BigInt(7), Value::Null, Value::Real(f32::NAN), Value::Float(f64::INFINITY)),
+            row(Value::Null, Value::Null, Value::Null, Value::Null),
+            row(Value::BigInt(-1), Value::Int(i32::MIN), Value::Real(0.1), Value::Float(-0.0)),
+        ];
+        for needed in [[true; 4], [false, true, false, true], [true, false, true, false], [false; 4]] {
+            let mut by_offset = ColumnBatch::with_projection(&dt, &needed, 4);
+            let mut by_walk = ColumnBatch::with_projection(&dt, &needed, 4);
+            assert_eq!(by_offset.fixed.as_ref().map(|f| f.row_len), Some(9 + 5 + 5 + 9));
+            by_walk.fixed = None;
+            for r in &corpus {
+                by_offset.push_wire(&r.encode()).unwrap();
+                by_walk.push_wire(&r.encode()).unwrap();
+            }
+            for i in 0..corpus.len() {
+                assert_eq!(by_offset.row(i).encode(), by_walk.row(i).encode(), "{needed:?} row {i}");
+            }
+            // As long as the layout, but an INT where the BIGINT sits: the
+            // walk refuses it, and so does the offset read, absent or not.
+            let misfit = row(Value::Int(1), Value::Int(2), Value::Float(3.0), Value::Float(4.0));
+            assert_eq!(misfit.encoded_len(), 28);
+            assert!(matches!(by_offset.push_wire(&misfit.encode()), Err(DbError::Corrupt(_))));
+            assert!(matches!(by_walk.push_wire(&misfit.encode()), Err(DbError::Corrupt(_))));
+        }
+        // A text column has no fixed layout.
+        assert!(ColumnBatch::with_capacity(&dtypes(), 1).fixed.is_none());
+    }
+
+    /// A plan that points a kernel at a column it did not mark as needed is
+    /// a planner bug; debug builds stop on it.
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "which the plan left absent")]
+    fn a_kernel_over_an_absent_column_trips_the_assertion() {
+        let dt = [DataType::Float, DataType::Int];
+        let mut batch = ColumnBatch::with_projection(&dt, &[false, true], 1);
+        batch.push_wire(&Row(vec![Value::Float(1.0), Value::Int(1)]).encode()).unwrap();
+        let vp = VPredicate::compile(&Expr::Col(0).bin(BinOp::Gt, Expr::lit(0.5)), &dt);
+        assert!(vp.is_compiled());
+        let _ = vp.select(&batch);
     }
 
     #[test]

@@ -6,7 +6,7 @@ use crate::buffer::{BufferPool, DiskProfile, IoSnapshot};
 use crate::colbatch::ColumnBatch;
 use crate::error::{DbError, DbResult};
 use crate::heap::HeapFile;
-use crate::key::encode_key;
+use crate::key::{encode_fields, encode_key};
 use crate::mvcc::MvccState;
 use crate::row::Row;
 use crate::schema::{Column, Schema};
@@ -66,6 +66,27 @@ struct SecondaryIndex {
     name: String,
     cols: Vec<usize>,
     tree: BTree,
+}
+
+/// The encoded clustering key of `row`: its address in the clustered tree
+/// and the *locator* every secondary-index entry for it ends with.
+fn locator(key_cols: &[usize], row: &Row) -> DbResult<Vec<u8>> {
+    let mut key = Vec::with_capacity(key_cols.len() * 9);
+    encode_fields(key_cols.iter().map(|&i| &row[i]), &mut key)?;
+    Ok(key)
+}
+
+/// The entry an index over `cols` holds for `row`: the index columns'
+/// fields, then the row's locator (key fields concatenate, so the locator's
+/// bytes are used as they are). Checked against what the key codec and a
+/// B-tree node can hold, so a writer can refuse a row before it touches any
+/// tree — an index must never lack an entry for a stored row.
+fn index_entry(cols: &[usize], row: &Row, locator: &[u8]) -> DbResult<Vec<u8>> {
+    let mut entry = Vec::with_capacity(cols.len() * 9 + locator.len());
+    encode_fields(cols.iter().map(|&i| &row[i]), &mut entry)?;
+    entry.extend_from_slice(locator);
+    BTree::check_entry(&entry, &[])?;
+    Ok(entry)
 }
 
 /// One table: schema plus storage at one visibility — the live pages for
@@ -182,13 +203,13 @@ impl Table {
         Ok(ScanPos::Clustered { from, hi })
     }
 
-    fn get_raw(&self, name: &str, key: &[Value]) -> DbResult<Option<Vec<u8>>> {
-        self.clustered(name)?.0.get(&encode_key(key))
+    fn get(&self, name: &str, key: &[Value]) -> DbResult<Option<Row>> {
+        let arity = self.schema.arity();
+        self.clustered(name)?.0.get_with(&encode_key(key), |p| Row::decode(p, arity))?.transpose()
     }
 
-    fn get(&self, name: &str, key: &[Value]) -> DbResult<Option<Row>> {
-        let bytes = self.get_raw(name, key)?;
-        bytes.map(|b| Row::decode(&b, self.schema.arity())).transpose()
+    fn dtypes(&self) -> Vec<DataType> {
+        self.schema.columns().iter().map(|c| c.dtype).collect()
     }
 
     fn scan_with(&self, mut visit: impl FnMut(&Row) -> DbResult<bool>) -> DbResult<()> {
@@ -210,6 +231,28 @@ impl Table {
     ) -> DbResult<()> {
         self.start_range(name, lo, hi)?.resume(self, usize::MAX, |payload| Ok(visit(payload)))
     }
+}
+
+/// Feed the entries of `tree` from `from` up to `hi`, in key order and
+/// borrowed from the page, to `sink` until `max` were fed or `sink` returns
+/// `Ok(false)`. Returns the key of the entry the walk stopped at — the
+/// only bytes copied — or `None` when the range ran out first. One seek.
+fn walk_tree(
+    tree: &BTree,
+    from: &Bound<Vec<u8>>,
+    hi: &Bound<Vec<u8>>,
+    max: usize,
+    mut sink: impl FnMut(&[u8], &[u8]) -> DbResult<bool>,
+) -> DbResult<Option<Vec<u8>>> {
+    let mut fed = 0;
+    // The key of the entry the walk stops at, or the sink's error.
+    let mut stop = Ok(None);
+    tree.scan_range_with(as_slice(from), as_slice(hi), |key, payload| {
+        fed += 1;
+        stop = sink(key, payload).map(|more| (!more || fed == max).then(|| key.to_vec()));
+        matches!(stop, Ok(None))
+    })?;
+    stop
 }
 
 /// Where a scan of one [`Table`] stands between calls: a heap address or a
@@ -263,14 +306,7 @@ impl ScanPos {
                 }
             }
             (ScanPos::Clustered { from, hi }, Storage::Clustered { tree, .. }) => {
-                // The key of the row this call stops at, or the sink's error.
-                let mut stop = Ok(None);
-                tree.scan_range_with(as_slice(from), as_slice(hi), |key, payload| {
-                    fed += 1;
-                    stop = sink(payload).map(|more| (!more || fed == max).then(|| key.to_vec()));
-                    matches!(stop, Ok(None))
-                })?;
-                if let Some(key) = stop? {
+                if let Some(key) = walk_tree(tree, from, hi, max, |_, payload| sink(payload))? {
                     *from = Bound::Excluded(key);
                     return Ok(());
                 }
@@ -853,7 +889,11 @@ impl Database {
         }
     }
 
-    /// Insert one row, maintaining any secondary indexes.
+    /// Insert one row, maintaining any secondary indexes. Every key the
+    /// insert will write — the clustered one and one entry per index — is
+    /// encoded and checked before the first tree changes, so a refused row
+    /// ([`DbError::RecordTooLarge`], or [`DbError::SchemaMismatch`] for a
+    /// text key holding NUL) leaves table and indexes as they were.
     pub fn insert(&mut self, name: &str, row: Row) -> DbResult<()> {
         let epoch = self.fresh_epoch();
         self.dirty_tables.insert(Self::norm(name));
@@ -872,13 +912,17 @@ impl Database {
                 Ok(())
             }
             Storage::Clustered { tree, key_cols } => {
-                let key: Vec<Value> = key_cols.iter().map(|&i| row[i].clone()).collect();
-                tree.insert(&encode_key(&key), &row.encode())?;
-                for idx in &mut table.indexes {
-                    let mut ikey: Vec<Value> =
-                        idx.cols.iter().map(|&i| row[i].clone()).collect();
-                    ikey.extend(key.iter().cloned());
-                    idx.tree.insert(&encode_key(&ikey), &[])?;
+                let key = locator(key_cols, &row)?;
+                let payload = row.encode();
+                BTree::check_entry(&key, &payload)?;
+                let entries = table
+                    .indexes
+                    .iter()
+                    .map(|idx| index_entry(&idx.cols, &row, &key))
+                    .collect::<DbResult<Vec<_>>>()?;
+                tree.insert(&key, &payload)?;
+                for (idx, entry) in table.indexes.iter_mut().zip(&entries) {
+                    idx.tree.insert(entry, &[])?;
                 }
                 Ok(())
             }
@@ -957,12 +1001,6 @@ impl Database {
         self.table(name)?.get(name, key)
     }
 
-    /// Point lookup by clustered key, returning the undecoded row payload
-    /// (the vectorized scan decodes it straight into column buffers).
-    pub fn get_raw(&self, name: &str, key: &[Value]) -> DbResult<Option<Vec<u8>>> {
-        self.table(name)?.get_raw(name, key)
-    }
-
     /// The positions of a clustered table's key columns.
     pub fn clustered_key_cols(&self, name: &str) -> DbResult<Vec<usize>> {
         Ok(self.table(name)?.clustered(name)?.1.to_vec())
@@ -970,27 +1008,26 @@ impl Database {
 
     /// Create a nonclustered index over `cols` of a clustered table,
     /// backfilling it from existing rows. Index names are unique per table.
+    /// Every entry is encoded and checked (as [`Database::insert`] checks
+    /// its own) before the tree is created, so a row the index cannot hold
+    /// fails the statement and leaves the table without the index.
     pub fn create_index(&mut self, table: &str, index: &str, cols: &[&str]) -> DbResult<()> {
-        let pool = self.pool.clone();
-        // Collect the backfill before mutably borrowing the table entry.
-        let schema = self.schema_of(table)?.clone();
-        let key_cols = self.clustered_key_cols(table)?;
-        let col_ids: Vec<usize> = cols.iter().map(|c| schema.col(c)).collect::<DbResult<_>>()?;
-        let mut rows = Vec::new();
-        self.scan_with(table, |row| {
-            rows.push(row.clone());
-            Ok(true)
-        })?;
-        let t = self.table_mut(table)?;
+        let t = self.table(table)?;
+        let (_, key_cols) = t.clustered(table)?;
         if t.indexes.iter().any(|i| i.name.eq_ignore_ascii_case(index)) {
             return Err(DbError::TableExists(format!("index {index}")));
         }
-        let mut tree = BTree::create(pool)?;
-        for row in &rows {
-            let mut ikey: Vec<Value> = col_ids.iter().map(|&i| row[i].clone()).collect();
-            ikey.extend(key_cols.iter().map(|&i| row[i].clone()));
-            tree.insert(&encode_key(&ikey), &[])?;
+        let col_ids: Vec<usize> = cols.iter().map(|c| t.schema.col(c)).collect::<DbResult<_>>()?;
+        let mut entries = Vec::new();
+        t.scan_with(|row| {
+            entries.push(index_entry(&col_ids, row, &locator(key_cols, row)?)?);
+            Ok(true)
+        })?;
+        let mut tree = BTree::create(self.pool.clone())?;
+        for entry in &entries {
+            tree.insert(entry, &[])?;
         }
+        let t = self.table_mut(table)?;
         t.indexes.push(SecondaryIndex { name: index.to_owned(), cols: col_ids, tree });
         self.dirty_tables.insert(Self::norm(table));
         self.catalog_dirty = true;
@@ -1014,64 +1051,42 @@ impl Database {
         Ok(self.table(table)?.indexes.iter().map(|i| i.name.clone()).collect())
     }
 
-    /// Stream rows whose *index* key lies between the `lo` and `hi`
-    /// prefixes (inclusive, prefix semantics as in
-    /// [`Database::range_scan_prefix_raw`]), fetching each row through the
-    /// clustering key — the nonclustered-seek + key-lookup plan shape.
-    pub fn index_range_scan(
+    /// Open a streaming batched scan over the entries of a nonclustered
+    /// index whose key lies between the `lo` and `hi` index-key prefixes
+    /// (inclusive, prefix semantics as in
+    /// [`Database::range_scan_prefix_raw`]), in index-key order. `needed[c]`
+    /// says whether the caller reads table column `c`; see [`IndexScan`].
+    pub(crate) fn index_scan(
         &self,
         table: &str,
         index: &str,
         lo: &[Value],
         hi: &[Value],
-        mut visit: impl FnMut(&Row) -> DbResult<bool>,
-    ) -> DbResult<()> {
-        // Phase 1: collect clustering keys from the index (the scan holds
-        // the pool latch; lookups happen after).
-        let locators = self.index_range_keys(table, index, lo, hi)?;
-        // Phase 2: key lookups.
-        for loc in locators {
-            if let Some(row) = self.get(table, &loc)? {
-                if !visit(&row)? {
-                    break;
-                }
-            }
-        }
-        Ok(())
+        needed: &[bool],
+    ) -> DbResult<IndexScan> {
+        let t = self.table(table)?;
+        let fields = self.index_entry_cols(table, index)?;
+        let (from, hi) = prefix_range(lo, hi);
+        Ok(IndexScan {
+            table: Self::norm(table),
+            index: index.to_owned(),
+            pos: ScanPos::Clustered { from, hi },
+            split: t.index(index)?.cols.len(),
+            dtypes: t.dtypes(),
+            on_entry: (0..needed.len()).map(|c| needed[c] && fields.contains(&c)).collect(),
+            fields,
+            needed: needed.to_vec(),
+        })
     }
 
-    /// Phase 1 of a nonclustered index range scan on its own: the
-    /// clustering-key locators of every index entry between the `lo` and
-    /// `hi` index-key prefixes (inclusive, prefix semantics as in
-    /// [`Database::range_scan_prefix_raw`]), in index-key order. The query
-    /// planner's index-scan operator collects locators once, then fetches
-    /// rows in batches through [`Database::get`].
-    pub fn index_range_keys(
-        &self,
-        table: &str,
-        index: &str,
-        lo: &[Value],
-        hi: &[Value],
-    ) -> DbResult<Vec<Vec<Value>>> {
+    /// The column positions one entry of a nonclustered index holds, field
+    /// by field: the index columns, then the clustering-key columns (a
+    /// column can be both). A plan that reads nothing else needs no row.
+    pub(crate) fn index_entry_cols(&self, table: &str, index: &str) -> DbResult<Vec<usize>> {
         let t = self.table(table)?;
-        let idx = t.index(index)?;
-        // An entry is the index columns followed by the clustering key.
-        let n_prefix = idx.cols.len();
-        let n_key = n_prefix + t.clustered(table)?.1.len();
-        let (lo, hi) = prefix_range(lo, hi);
-        let mut locators: Vec<Vec<Value>> = Vec::new();
-        let mut malformed = false;
-        idx.tree.scan_range_with(as_slice(&lo), as_slice(&hi), |k, _| {
-            match crate::key::decode_key(k) {
-                Ok(vals) if vals.len() == n_key => locators.push(vals[n_prefix..].to_vec()),
-                _ => malformed = true,
-            }
-            !malformed
-        })?;
-        if malformed {
-            return Err(DbError::Corrupt(format!("index {index} holds a malformed key")));
-        }
-        Ok(locators)
+        let mut fields = t.index(index)?.cols.clone();
+        fields.extend_from_slice(t.clustered(table)?.1);
+        Ok(fields)
     }
 
     /// The column positions a nonclustered index covers, in index order.
@@ -1106,20 +1121,16 @@ impl Database {
         let Storage::Clustered { tree, .. } = &mut table.storage else {
             return Err(DbError::TypeError(format!("{name} is not clustered")));
         };
-        let removed = tree.get(&encode_key(key))?;
-        let existed = tree.delete(&encode_key(key))?;
-        if existed {
-            if let Some(bytes) = removed {
-                let row = Row::decode(&bytes, table.schema.arity())?;
-                for idx in &mut table.indexes {
-                    let mut ikey: Vec<Value> =
-                        idx.cols.iter().map(|&i| row[i].clone()).collect();
-                    ikey.extend(key.iter().cloned());
-                    idx.tree.delete(&encode_key(&ikey))?;
-                }
-            }
+        let key = encode_key(key);
+        let arity = table.schema.arity();
+        let Some(row) = tree.get_with(&key, |p| Row::decode(p, arity))?.transpose()? else {
+            return Ok(false);
+        };
+        tree.delete(&key)?;
+        for idx in &mut table.indexes {
+            idx.tree.delete(&index_entry(&idx.cols, &row, &key)?)?;
         }
-        Ok(existed)
+        Ok(true)
     }
 
     /// Stream every row through `visit`; return `false` to stop early.
@@ -1188,7 +1199,7 @@ impl Database {
     /// last key — so the pull-based executor can interleave fetches with
     /// arbitrary database reads.
     pub fn batch_scan(&self, name: &str) -> DbResult<BatchScan> {
-        Ok(BatchScan { table: Self::norm(name), pos: self.table(name)?.start() })
+        Ok(BatchScan { table: Self::norm(name), pos: self.table(name)?.start(), needed: None })
     }
 
     /// Open a streaming batched scan over the clustered-key range between
@@ -1196,7 +1207,7 @@ impl Database {
     /// key extending it, as in [`Database::range_scan_prefix_raw`]).
     pub fn batch_range_scan(&self, name: &str, lo: &[Value], hi: &[Value]) -> DbResult<BatchScan> {
         let pos = self.table(name)?.start_range(name, lo, hi)?;
-        Ok(BatchScan { table: Self::norm(name), pos })
+        Ok(BatchScan { table: Self::norm(name), pos, needed: None })
     }
 
     /// A `Send + Sync` read-only snapshot handle for concurrent readers.
@@ -1385,9 +1396,19 @@ pub struct ColChunk {
 pub struct BatchScan {
     table: String,
     pos: ScanPos,
+    /// Which table columns fetched batches hold; `None` holds them all.
+    needed: Option<Vec<bool>>,
 }
 
 impl BatchScan {
+    /// Decode only the columns the caller reads: column `c` of every
+    /// fetched batch is present when `needed[c]` and absent otherwise
+    /// (framing-checked and stepped over; see [`crate::colbatch`]).
+    pub(crate) fn project(mut self, needed: &[bool]) -> BatchScan {
+        self.needed = Some(needed.to_vec());
+        self
+    }
+
     /// Fetch up to `max` stored rows as a column-major batch, decoding
     /// page payloads straight into typed buffers with no per-row `Row`
     /// materialization — the executor's leaf. No predicate runs here:
@@ -1399,15 +1420,117 @@ impl BatchScan {
             return Ok(None);
         }
         let table = db.table(&self.table)?;
-        let dtypes: Vec<DataType> =
-            table.schema.columns().iter().map(|c| c.dtype).collect();
-        let mut batch = ColumnBatch::with_capacity(&dtypes, max);
+        let dtypes = table.dtypes();
+        let mut batch = match &self.needed {
+            Some(needed) => ColumnBatch::with_projection(&dtypes, needed, max),
+            None => ColumnBatch::with_capacity(&dtypes, max),
+        };
         self.pos.resume(table, max, |payload| batch.push_wire(payload).map(|()| true))?;
         if batch.is_empty() {
             self.pos = ScanPos::Done;
             return Ok(None);
         }
         Ok(Some(ColChunk { batch }))
+    }
+}
+
+/// One batch of index entries fetched by [`IndexScan::fetch_entries`].
+pub(crate) struct IndexChunk {
+    /// The examined entries in index order, decoded from their key bytes
+    /// into the table's layout: the needed columns an entry holds are
+    /// present, every other column is absent. Cell for cell what a fetch
+    /// of the rows would hold.
+    pub(crate) batch: ColumnBatch,
+    /// Each entry's locator — the suffix of its key, which is the encoded
+    /// clustering key of its row — end to end.
+    locators: Vec<u8>,
+    /// Entry `i`'s locator is `locators[bounds[i]..bounds[i + 1]]`.
+    bounds: Vec<u32>,
+}
+
+impl IndexChunk {
+    fn locator(&self, i: usize) -> &[u8] {
+        &self.locators[self.bounds[i] as usize..self.bounds[i + 1] as usize]
+    }
+}
+
+/// A streaming batched scan of a nonclustered index range
+/// ([`Database::index_scan`]), resumable exactly like [`BatchScan`]: one
+/// seek per fetched batch of entries, no latch and no pin between batches.
+///
+/// A batch is read in two steps so a predicate can run between them.
+/// [`IndexScan::fetch_entries`] decodes the entries themselves — an entry
+/// *is* the row's index and clustering columns, so a caller that needs no
+/// other column is done, and one that filters on those columns filters
+/// here. [`IndexScan::fetch_rows`] then reads the rows of the entries the
+/// caller kept, one clustered point read each.
+///
+/// Index ≡ table is an invariant [`Database::insert`] and
+/// [`Database::delete_by_key`] maintain; both steps report a breach — an
+/// entry that does not decode as its columns, a locator with no row — as
+/// [`DbError::Corrupt`], never by skipping.
+pub(crate) struct IndexScan {
+    table: String,
+    index: String,
+    /// Over the index tree; only the clustered-key variants occur.
+    pos: ScanPos,
+    /// The table column each field of an entry holds.
+    fields: Vec<usize>,
+    /// The field a locator starts at (= the number of index columns).
+    split: usize,
+    dtypes: Vec<DataType>,
+    needed: Vec<bool>,
+    /// `needed`, restricted to the columns an entry holds.
+    on_entry: Vec<bool>,
+}
+
+impl IndexScan {
+    /// Fetch up to `max` entries; `None` once the range is exhausted.
+    pub(crate) fn fetch_entries(
+        &mut self,
+        db: &Database,
+        max: usize,
+    ) -> DbResult<Option<IndexChunk>> {
+        let ScanPos::Clustered { from, hi } = &mut self.pos else {
+            return Ok(None);
+        };
+        let index = db.table(&self.table)?.index(&self.index)?;
+        let mut chunk = IndexChunk {
+            batch: ColumnBatch::with_projection(&self.dtypes, &self.on_entry, max),
+            locators: Vec::new(),
+            bounds: vec![0],
+        };
+        let stopped_at = walk_tree(&index.tree, from, hi, max, |key, _| {
+            let at = chunk.batch.push_key(key, &self.fields, self.split)?;
+            chunk.locators.extend_from_slice(&key[at..]);
+            chunk.bounds.push(chunk.locators.len() as u32);
+            Ok(true)
+        })?;
+        match stopped_at {
+            Some(key) => *from = Bound::Excluded(key),
+            None => self.pos = ScanPos::Done,
+        }
+        Ok((!chunk.batch.is_empty()).then_some(chunk))
+    }
+
+    /// The rows of entries `sel` of `chunk`, in that order, holding the
+    /// needed columns: each a point read by locator whose payload is
+    /// decoded straight from the leaf it lives on.
+    pub(crate) fn fetch_rows(
+        &self,
+        db: &Database,
+        chunk: &IndexChunk,
+        sel: &[u32],
+    ) -> DbResult<ColumnBatch> {
+        let (tree, _) = db.table(&self.table)?.clustered(&self.table)?;
+        let mut batch = ColumnBatch::with_projection(&self.dtypes, &self.needed, sel.len());
+        for &i in sel {
+            tree.get_with(chunk.locator(i as usize), |payload| batch.push_wire(payload))?
+                .ok_or_else(|| {
+                    DbError::Corrupt(format!("index {} holds an entry with no row", self.index))
+                })??;
+        }
+        Ok(batch)
     }
 }
 
@@ -1526,6 +1649,46 @@ mod tests {
         assert!(stats2.logical_reads < stats.logical_reads);
     }
 
+    /// The rows an index range holds, through both steps of [`IndexScan`]
+    /// in batches of `max` entries: every column of every entry's row.
+    fn index_rows(
+        d: &Database,
+        table: &str,
+        index: &str,
+        lo: &[Value],
+        hi: &[Value],
+        max: usize,
+    ) -> DbResult<Vec<Row>> {
+        let all = vec![true; d.schema_of(table)?.arity()];
+        let mut scan = d.index_scan(table, index, lo, hi, &all)?;
+        let mut rows = Vec::new();
+        while let Some(chunk) = scan.fetch_entries(d, max)? {
+            assert!(chunk.batch.len() <= max);
+            let sel: Vec<u32> = (0..chunk.batch.len() as u32).collect();
+            rows.extend(scan.fetch_rows(d, &chunk, &sel)?.to_rows());
+        }
+        assert!(scan.fetch_entries(d, max)?.is_none(), "stays done");
+        Ok(rows)
+    }
+
+    /// Every index of `table` holds exactly one entry per stored row, and
+    /// it is that row's index and clustering columns.
+    fn assert_indexes_mirror_table(d: &Database, table: &str) {
+        let rows = d.scan(table).unwrap();
+        for index in d.index_names(table).unwrap() {
+            let fields = d.index_entry_cols(table, &index).unwrap();
+            let mut want: Vec<Vec<u8>> = rows
+                .iter()
+                .map(|r| encode_key(&fields.iter().map(|&c| r[c].clone()).collect::<Vec<_>>()))
+                .collect();
+            want.sort();
+            let tree = &d.table(table).unwrap().index(&index).unwrap().tree;
+            let got: Vec<Vec<u8>> = tree.scan_all().unwrap().into_iter().map(|(k, _)| k).collect();
+            assert!(got == want, "{index} diverged from {table}");
+            assert_eq!(tree.len(), rows.len() as u64);
+        }
+    }
+
     #[test]
     fn secondary_index_lifecycle() {
         let mut d = db();
@@ -1536,69 +1699,85 @@ mod tests {
         }
         d.create_index("galaxy", "ix_i", &["i"]).unwrap();
         assert_eq!(d.index_names("galaxy").unwrap(), vec!["ix_i"]);
+        let ids_between = |d: &Database, lo: f32, hi: f32| -> Vec<i64> {
+            index_rows(d, "galaxy", "ix_i", &[Value::Real(lo)], &[Value::Real(hi)], 7)
+                .unwrap()
+                .iter()
+                .map(|row| row.i64(0).unwrap())
+                .collect()
+        };
         // Seek i = 3 through the index: ids 3, 10, 17, ...
-        let mut ids = Vec::new();
-        d.index_range_scan(
-            "galaxy",
-            "ix_i",
-            &[Value::Real(3.0)],
-            &[Value::Real(3.0)],
-            |row| {
-                ids.push(row.i64(0).unwrap());
-                Ok(true)
-            },
-        )
-        .unwrap();
+        let ids = ids_between(&d, 3.0, 3.0);
         assert_eq!(ids.len(), 200 / 7 + 1);
         assert!(ids.iter().all(|id| id % 7 == 3));
         // Inserts and deletes maintain the index.
         d.insert("galaxy", g(1000, 185.0, 0.0, 3.0)).unwrap();
         d.delete_by_key("galaxy", &[Value::BigInt(3)]).unwrap();
-        let mut ids2 = Vec::new();
-        d.index_range_scan(
-            "galaxy",
-            "ix_i",
-            &[Value::Real(3.0)],
-            &[Value::Real(3.0)],
-            |row| {
-                ids2.push(row.i64(0).unwrap());
-                Ok(true)
-            },
-        )
-        .unwrap();
+        let ids2 = ids_between(&d, 3.0, 3.0);
         assert!(ids2.contains(&1000));
         assert!(!ids2.contains(&3));
         // Range over the index prefix.
-        let mut n = 0;
-        d.index_range_scan(
-            "galaxy",
-            "ix_i",
-            &[Value::Real(0.0)],
-            &[Value::Real(1.0)],
-            |_| {
-                n += 1;
-                Ok(true)
-            },
-        )
-        .unwrap();
+        let n = ids_between(&d, 0.0, 1.0).len();
         assert!(n > 40, "i in {{0,1}} covers ~2/7 of rows, got {n}");
+        // A seeded insert/delete sequence keeps every index the projection
+        // of the table's rows.
+        d.create_index("galaxy", "ix_radec", &["ra", "dec"]).unwrap();
+        let mut state = 2005u64;
+        for _ in 0..400 {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            let id = (state >> 33) as i64 % 300;
+            if d.get("galaxy", &[Value::BigInt(id)]).unwrap().is_some() {
+                assert!(d.delete_by_key("galaxy", &[Value::BigInt(id)]).unwrap());
+            } else {
+                d.insert("galaxy", g(id, (state >> 40) as f64 * 1e-4, -0.0, (id % 5) as f32))
+                    .unwrap();
+            }
+        }
+        assert!(!d.delete_by_key("galaxy", &[Value::BigInt(5000)]).unwrap());
+        assert_indexes_mirror_table(&d, "galaxy");
         // Truncate empties the index.
         d.truncate("galaxy").unwrap();
-        let mut any = false;
-        d.index_range_scan(
-            "galaxy",
-            "ix_i",
-            &[Value::Real(0.0)],
-            &[Value::Real(9.0)],
-            |_| {
-                any = true;
-                Ok(true)
-            },
-        )
-        .unwrap();
-        assert!(!any);
+        assert!(ids_between(&d, 0.0, 9.0).is_empty());
         d.drop_index("galaxy", "ix_i").unwrap();
         assert!(d.drop_index("galaxy", "ix_i").is_err());
+    }
+
+    /// A key an index cannot hold is refused before any tree changes: a
+    /// stored row with no entry is a row no index scan would ever return.
+    #[test]
+    fn refused_index_keys_leave_table_and_indexes_unchanged() {
+        let schema = || {
+            Schema::new(vec![
+                Column::new("id", DataType::BigInt),
+                Column::new("tag", DataType::Text),
+            ])
+        };
+        let t = |id: i64, tag: &str| Row(vec![Value::BigInt(id), Value::Text(tag.to_owned())]);
+        let mut d = db();
+        d.create_clustered_table("t", schema(), &["id"]).unwrap();
+        // The row fits a node; the entry of an index naming `tag` twice
+        // (legal, if pointless) holds it twice and does not.
+        let wide = "w".repeat(crate::btree::MAX_ENTRY / 2);
+        d.create_index("t", "ix_tag", &["tag"]).unwrap();
+        d.create_index("t", "ix_twice", &["tag", "tag"]).unwrap();
+        d.insert("t", t(1, "a")).unwrap();
+        assert!(matches!(d.insert("t", t(2, &wide)), Err(DbError::RecordTooLarge { .. })));
+        assert!(matches!(d.insert("t", t(3, "nul\0inside")), Err(DbError::SchemaMismatch(_))));
+        assert_eq!(d.scan("t").unwrap(), vec![t(1, "a")]);
+        assert_indexes_mirror_table(&d, "t");
+        // The backfill checks the same way, before the index exists.
+        d.drop_index("t", "ix_twice").unwrap();
+        d.insert("t", t(2, &wide)).unwrap();
+        assert!(matches!(
+            d.create_index("t", "ix_twice", &["tag", "tag"]),
+            Err(DbError::RecordTooLarge { .. })
+        ));
+        assert_eq!(d.index_names("t").unwrap(), vec!["ix_tag"]);
+        assert_indexes_mirror_table(&d, "t");
+        // A clustering key is a key too.
+        d.create_clustered_table("k", schema(), &["tag"]).unwrap();
+        assert!(matches!(d.insert("k", t(1, "\0")), Err(DbError::SchemaMismatch(_))));
+        assert_eq!(d.row_count("k").unwrap(), 0);
     }
 
     #[test]
@@ -1904,23 +2083,46 @@ mod tests {
         }
         d.create_index("galaxy", "ix_i", &["i"]).unwrap();
         let probe = |d: &Database| {
-            d.index_range_keys("galaxy", "ix_i", &[Value::Real(2.0)], &[Value::Real(2.0)])
+            index_rows(d, "galaxy", "ix_i", &[Value::Real(2.0)], &[Value::Real(2.5)], 1024)
         };
         assert_eq!(probe(&d).unwrap().len(), 5);
         fn index(d: &mut Database) -> &mut BTree {
             &mut d.tables.get_mut("galaxy").unwrap().indexes[0].tree
         }
+        // Each planted entry must fail the scan, not be skipped; removing
+        // it heals the index.
+        let mut plant = |what: &str, entry: Vec<u8>| {
+            index(&mut d).insert(&entry, &[]).unwrap();
+            assert!(matches!(probe(&d), Err(DbError::Corrupt(_))), "{what} must not be skipped");
+            index(&mut d).delete(&entry).unwrap();
+            assert_eq!(probe(&d).unwrap().len(), 5);
+        };
         // An entry with no clustering key behind the index columns.
-        let short = encode_key(&[Value::Real(2.0)]);
-        index(&mut d).insert(&short, &[]).unwrap();
-        assert!(matches!(probe(&d), Err(DbError::Corrupt(_))), "short key must not be skipped");
-        index(&mut d).delete(&short).unwrap();
-        assert_eq!(probe(&d).unwrap().len(), 5);
+        plant("short key", encode_key(&[Value::Real(2.0)]));
         // An entry whose bytes are no key encoding at all.
         let mut junk = encode_key(&[Value::Real(2.0)]);
         junk.extend_from_slice(&[0x7E, 0x01]);
-        index(&mut d).insert(&junk, &[]).unwrap();
-        assert!(matches!(probe(&d), Err(DbError::Corrupt(_))), "junk key must not be skipped");
+        plant("junk key", junk);
+        // One field too many.
+        plant("long key", encode_key(&[Value::Real(2.0), Value::BigInt(7), Value::BigInt(7)]));
+        // A field of another type than its column.
+        plant("text locator", encode_key(&[Value::Real(2.0), Value::Text("7".into())]));
+        // A float no REAL column can have held.
+        plant("wide float", encode_key(&[Value::Float(2.000_000_000_1), Value::BigInt(7)]));
+        // A well-formed entry whose row is gone.
+        plant("dangling locator", encode_key(&[Value::Real(2.0), Value::BigInt(999)]));
+
+        // An INT field outside i32, in an index over an INT column.
+        d.create_clustered_table("c", zone_schema(), &ZONE_KEY).unwrap();
+        d.insert("c", zone_row(1)).unwrap();
+        d.create_index("c", "ix_zone", &["zoneid"]).unwrap();
+        let all = |d: &Database| index_rows(d, "c", "ix_zone", &[], &[], 1024);
+        assert_eq!(all(&d).unwrap().len(), 1);
+        let mut wide = zone_row(2).0;
+        wide.insert(0, Value::BigInt(i64::from(i32::MAX) + 1));
+        wide.truncate(4);
+        d.tables.get_mut("c").unwrap().indexes[0].tree.insert(&encode_key(&wide), &[]).unwrap();
+        assert!(matches!(all(&d), Err(DbError::Corrupt(_))), "an INT beyond i32 must not wrap");
     }
 
     #[test]
@@ -1982,6 +2184,58 @@ mod tests {
         exact("get", 1, &|| {
             d.get("c", &zone_row(42).0[..3]).unwrap().unwrap();
         });
+
+        // An index range: one seek per batch of entries, plus one per row
+        // read — and none of those when the entries are the answer.
+        d.create_index("c", "ix_ra", &["ra"]).unwrap();
+        // 21 ra steps in each of 5 zones; an entry holds every key column.
+        const ENTRIES: usize = 105;
+        const KEY_ONLY: [bool; 4] = [true, true, true, false];
+        /// Walk the range in batches of `max`, reading the rows of the
+        /// entries `keep` picks when the pad column is needed.
+        fn walk(d: &Database, needed: &[bool], max: usize, keep: impl Fn(usize) -> bool) -> usize {
+            let (lo, hi) = ([Value::Float(1.0)], [Value::Float(3.05)]);
+            let mut scan = d.index_scan("c", "ix_ra", &lo, &hi, needed).unwrap();
+            let (mut seen, mut kept) = (0, 0);
+            while let Some(chunk) = scan.fetch_entries(d, max).unwrap() {
+                let sel: Vec<u32> =
+                    (0..chunk.batch.len()).filter(|&i| keep(seen + i)).map(|i| i as u32).collect();
+                seen += chunk.batch.len();
+                if needed[3] {
+                    kept += scan.fetch_rows(d, &chunk, &sel).unwrap().len();
+                }
+            }
+            assert_eq!(seen, ENTRIES);
+            kept
+        }
+        exact("index-only, batches of 8", 14, &|| {
+            walk(&d, &KEY_ONLY, 8, |_| true);
+        });
+        exact("index-only, one batch", 1, &|| {
+            walk(&d, &KEY_ONLY, 1024, |_| true);
+        });
+        exact("filtered lookups, batches of 8", 14 + 35, &|| {
+            assert_eq!(walk(&d, &[true; 4], 8, |i| i % 3 == 0), 35);
+        });
+
+        // The same in pages, through SQL: an index-only statement reads the
+        // pages of one index walk and nothing of the clustered tree; one
+        // more needed column costs a descent of it per entry.
+        let reads = |d: &Database| d.io_stats().logical_reads;
+        let before = reads(&d);
+        walk(&d, &KEY_ONLY, 1024, |_| true);
+        let index_walk = reads(&d) - before;
+        let height = d.table("c").unwrap().clustered("c").unwrap().0.height().unwrap() as u64;
+        assert!(height >= 2 && index_walk >= 2);
+        let mut select = |cols: &str| {
+            let before = reads(&d);
+            let sql = format!("SELECT {cols} FROM c WHERE ra BETWEEN 1.0 AND 3.05");
+            let (_, rows) = d.execute_sql(&sql).unwrap().rows().unwrap();
+            assert_eq!(rows.len(), ENTRIES);
+            reads(&d) - before
+        };
+        assert_eq!(select("objid, zoneid"), index_walk);
+        assert_eq!(select("objid, pad"), index_walk + ENTRIES as u64 * height);
     }
 
     #[test]

@@ -80,6 +80,7 @@ pub fn encode_value(v: &Value, out: &mut Vec<u8>) {
             out.extend_from_slice(&order_f64(*x).to_be_bytes());
         }
         Value::Text(s) => {
+            // Every key the engine stores went through [`encode_fields`].
             debug_assert!(!s.as_bytes().contains(&0), "text keys may not embed NUL");
             out.push(TAG_TEXT);
             out.extend_from_slice(s.as_bytes());
@@ -97,48 +98,83 @@ pub fn encode_key(values: &[Value]) -> Vec<u8> {
     out
 }
 
+/// Append the encoding of each value in turn, refusing the one kind that
+/// cannot be a key field: text holding NUL, the codec's text terminator —
+/// an embedded one would write a key [`decode_key`] rejects.
+pub(crate) fn encode_fields<'a>(
+    values: impl IntoIterator<Item = &'a Value>,
+    out: &mut Vec<u8>,
+) -> DbResult<()> {
+    for v in values {
+        if matches!(v, Value::Text(s) if s.as_bytes().contains(&0)) {
+            return Err(DbError::SchemaMismatch(
+                "a text value containing NUL cannot be a key field".into(),
+            ));
+        }
+        encode_value(v, out);
+    }
+    Ok(())
+}
+
+/// One decoded key field, borrowing text from the key bytes. Widths are
+/// the codec's normalized ones: every integer is an `i64`, every float an
+/// `f64` (both widenings are lossless, so narrowing back to the column's
+/// declared type is exact).
+pub(crate) enum KeyField<'a> {
+    /// NULL.
+    Null,
+    /// `real` or `float`.
+    Num(f64),
+    /// `int` or `bigint`.
+    Int(i64),
+    /// `text`.
+    Text(&'a str),
+}
+
+/// Split the first field off `buf`, or `None` at the end of the key.
+pub(crate) fn next_field<'a>(buf: &mut &'a [u8]) -> DbResult<Option<KeyField<'a>>> {
+    let Some((&tag, rest)) = buf.split_first() else { return Ok(None) };
+    *buf = rest;
+    Ok(Some(match tag {
+        TAG_NULL => KeyField::Null,
+        TAG_INT => KeyField::Int(unorder_i64(take8(buf)?)),
+        TAG_NUM => KeyField::Num(unorder_f64(take8(buf)?)),
+        TAG_TEXT => {
+            let end = buf
+                .iter()
+                .position(|&b| b == 0)
+                .ok_or_else(|| DbError::Corrupt("unterminated text key".into()))?;
+            let s = std::str::from_utf8(&buf[..end])
+                .map_err(|_| DbError::Corrupt("invalid utf8 in key".into()))?;
+            *buf = &buf[end + 1..];
+            KeyField::Text(s)
+        }
+        other => return Err(DbError::Corrupt(format!("unknown key tag {other}"))),
+    }))
+}
+
 /// Decode a composite key back to values. Integers come back as `BigInt`
 /// and floats as `Float` — the key codec normalizes widths, which is fine
 /// because tables keep the authoritative row in the leaf payload.
 pub fn decode_key(mut buf: &[u8]) -> DbResult<Vec<Value>> {
     let mut out = Vec::new();
-    while let Some((&tag, rest)) = buf.split_first() {
-        buf = rest;
-        match tag {
-            TAG_NULL => out.push(Value::Null),
-            TAG_INT => {
-                let (head, rest) = split8(buf)?;
-                out.push(Value::BigInt(unorder_i64(u64::from_be_bytes(head))));
-                buf = rest;
-            }
-            TAG_NUM => {
-                let (head, rest) = split8(buf)?;
-                out.push(Value::Float(unorder_f64(u64::from_be_bytes(head))));
-                buf = rest;
-            }
-            TAG_TEXT => {
-                let end = buf
-                    .iter()
-                    .position(|&b| b == 0)
-                    .ok_or_else(|| DbError::Corrupt("unterminated text key".into()))?;
-                let s = std::str::from_utf8(&buf[..end])
-                    .map_err(|_| DbError::Corrupt("invalid utf8 in key".into()))?;
-                out.push(Value::Text(s.to_owned()));
-                buf = &buf[end + 1..];
-            }
-            other => return Err(DbError::Corrupt(format!("unknown key tag {other}"))),
-        }
+    while let Some(field) = next_field(&mut buf)? {
+        out.push(match field {
+            KeyField::Null => Value::Null,
+            KeyField::Int(i) => Value::BigInt(i),
+            KeyField::Num(f) => Value::Float(f),
+            KeyField::Text(s) => Value::Text(s.to_owned()),
+        });
     }
     Ok(out)
 }
 
-fn split8(buf: &[u8]) -> DbResult<([u8; 8], &[u8])> {
-    if buf.len() < 8 {
+fn take8(buf: &mut &[u8]) -> DbResult<u64> {
+    let Some((head, rest)) = buf.split_first_chunk::<8>() else {
         return Err(DbError::Corrupt("truncated key".into()));
-    }
-    let mut head = [0u8; 8];
-    head.copy_from_slice(&buf[..8]);
-    Ok((head, &buf[8..]))
+    };
+    *buf = rest;
+    Ok(u64::from_be_bytes(*head))
 }
 
 #[cfg(test)]
@@ -227,6 +263,16 @@ mod tests {
         assert_eq!(decoded[1], Value::Float(-273.15));
         assert_eq!(decoded[2], Value::Text("zone".into()));
         assert!(decoded[3].is_null());
+    }
+
+    #[test]
+    fn text_holding_nul_is_no_key() {
+        let ok = [Value::Text("zone".into()), Value::Text(String::new()), Value::Null];
+        let mut key = Vec::new();
+        encode_fields(&ok, &mut key).unwrap();
+        assert_eq!(key, encode_key(&ok));
+        let nul = [Value::Int(1), Value::Text("a\0b".into())];
+        assert!(matches!(encode_fields(&nul, &mut key), Err(DbError::SchemaMismatch(_))));
     }
 
     #[test]

@@ -61,9 +61,8 @@ pub fn execute(db: &mut Database, sql: &str) -> DbResult<SqlOutput> {
 
 /// Parse and execute one SQL statement, choosing the SELECT evaluator.
 /// Only SELECT honors `opts`: `PlanOptions::naive()` routes it to the
-/// reference evaluator used by the identity tests and the `sql_plan`
-/// bench. EXPLAIN always renders (and ANALYZE runs) the production plan;
-/// DML and DDL are unaffected.
+/// reference evaluator used by the identity tests. EXPLAIN always renders
+/// (and ANALYZE runs) the production plan; DML and DDL are unaffected.
 pub fn execute_with(db: &mut Database, sql: &str, opts: &PlanOptions) -> DbResult<SqlOutput> {
     match super::parser::parse(sql)? {
         Stmt::Select(s) => run_select(db, &s, opts),

@@ -12,9 +12,12 @@
 //! The executor also maintains the planner's observability counters:
 //! `stardb.plan.index_scans` / `stardb.plan.full_scans` (one per opened
 //! scan), `stardb.plan.pushed_predicates` (conjuncts pushed below the
-//! joins), and `stardb.plan.rows_pruned` (rows examined by a scan minus
+//! joins), `stardb.plan.rows_pruned` (table rows a scan decoded minus
 //! rows it emitted — the rows the old pipeline would have dragged through
-//! the joins).
+//! the joins), and for secondary-index scans `stardb.plan.index_key_pruned`
+//! (entries rejected on the index key, before any row is read) and
+//! `stardb.plan.index_lookups` (clustered point reads issued; none for an
+//! index-only scan).
 //!
 //! ## Profiling
 //!
@@ -34,7 +37,7 @@
 
 use super::plan::{Access, JoinStrategy, OutputShape, ScanNode, SelectPlan, Slot, ZoneJoinSpec};
 use crate::colbatch::{ColumnBatch, ColumnHashTable, VPredicate};
-use crate::db::{BatchScan, Database};
+use crate::db::{BatchScan, Database, IndexScan};
 use crate::error::DbResult;
 use crate::exec::{self, GroupState, TopN};
 use crate::expr::Expr;
@@ -49,7 +52,7 @@ use std::time::Instant;
 pub(crate) const BATCH: usize = 1024;
 
 /// The `stardb.plan.*` counter set, created together so a telemetry run
-/// reports all four even when some stay zero.
+/// reports all six even when some stay zero.
 pub(crate) struct PlanCounters {
     /// Scans served by a B-tree range (clustered or secondary).
     pub index_scans: obs::Counter,
@@ -57,8 +60,12 @@ pub(crate) struct PlanCounters {
     pub full_scans: obs::Counter,
     /// Conjuncts pushed below the joins onto base-table scans.
     pub pushed_predicates: obs::Counter,
-    /// Rows examined by scans but filtered before leaving them.
+    /// Table rows decoded by scans but filtered before leaving them.
     pub rows_pruned: obs::Counter,
+    /// Index entries rejected by the on-key conjuncts, before any row read.
+    pub index_key_pruned: obs::Counter,
+    /// Clustered point reads issued by secondary-index scans.
+    pub index_lookups: obs::Counter,
 }
 
 /// Global planner counters (no-ops while telemetry is disabled).
@@ -69,6 +76,8 @@ pub(crate) fn plan_counters() -> &'static PlanCounters {
         full_scans: obs::counter("stardb.plan.full_scans"),
         pushed_predicates: obs::counter("stardb.plan.pushed_predicates"),
         rows_pruned: obs::counter("stardb.plan.rows_pruned"),
+        index_key_pruned: obs::counter("stardb.plan.index_key_pruned"),
+        index_lookups: obs::counter("stardb.plan.index_lookups"),
     })
 }
 
@@ -177,7 +186,8 @@ pub struct OpProfile {
     /// whole pipeline's.
     pub time_ns: u64,
     /// Operator-specific extras, e.g. `("pruned", n)` for scans and
-    /// filters, `("build_rows", n)` / `("probe_hits", n)` for hash joins,
+    /// filters (index scans add `entries`, `key_pruned` and `lookups`),
+    /// `("build_rows", n)` / `("probe_hits", n)` for hash joins,
     /// `("evicted", n)` for top-N heaps, `("cut", n)` for LIMIT.
     pub extras: Vec<(&'static str, u64)>,
 }
@@ -385,7 +395,7 @@ fn build_vectorized<'p>(db: &Database, plan: &'p SelectPlan, profiled: bool) -> 
     for join in &plan.joins {
         let right_scan = VScanExec::open(db, &join.right)?;
         let right_dtypes = right_scan.dtypes.clone();
-        let (right, build_prof) = drain_columns(db, right_scan, profiled)?;
+        let (right, build_prof) = drain_columns(db, right_scan, &join.right.needed, profiled)?;
         let side = match &join.strategy {
             JoinStrategy::Hash { left_col, right_col } => {
                 exec::join_pairs().add(right.len() as u64);
@@ -446,7 +456,7 @@ fn build_vectorized<'p>(db: &Database, plan: &'p SelectPlan, profiled: bool) -> 
     }
     Ok(match &plan.shape {
         OutputShape::Plain { exprs, .. } => {
-            Op::VProject(VProjectExec { input: vop, exprs, tally: Tally::default() })
+            Op::VProject(Box::new(VProjectExec { input: vop, exprs, tally: Tally::default() }))
         }
         OutputShape::Aggregate { group_pos, specs, slots, having, .. } => {
             Op::VAggregate(Box::new(VAggregateExec {
@@ -473,9 +483,10 @@ fn table_dtypes(db: &Database, table: &str) -> DbResult<Vec<DataType>> {
 fn drain_columns(
     db: &Database,
     mut scan: VScanExec,
+    needed: &[bool],
     profiled: bool,
 ) -> DbResult<(ColumnBatch, OpProfile)> {
-    let mut out = ColumnBatch::with_capacity(&scan.dtypes, 0);
+    let mut out = ColumnBatch::with_projection(&scan.dtypes, needed, 0);
     loop {
         let t0 = profiled.then(Instant::now);
         let batch = scan.next_batch(db, profiled)?;
@@ -716,7 +727,7 @@ fn record_op_counters(prof: &PlanProfile) {
 
 enum Op<'p> {
     /// Materialization boundary over a column-batch chain: projection.
-    VProject(VProjectExec<'p>),
+    VProject(Box<VProjectExec<'p>>),
     /// Materialization boundary over a column-batch chain: aggregation.
     VAggregate(Box<VAggregateExec<'p>>),
     Distinct(DistinctExec<'p>),
@@ -944,9 +955,21 @@ impl VOp {
 enum VSource {
     /// Full or clustered-range scan decoding pages into column buffers.
     Batch(BatchScan),
-    /// Secondary-index range: pre-resolved clustering keys, their raw
-    /// payloads decoded straight into column buffers in index order.
-    Keys { table: String, keys: Vec<Vec<Value>>, next: usize },
+    /// Secondary-index range: entries decoded from their key bytes and
+    /// filtered on them; rows read only for survivors, and only when the
+    /// plan needs a column the entry does not hold.
+    Index(Box<IndexSource>),
+}
+
+struct IndexSource {
+    scan: IndexScan,
+    /// `Access::Index::key_pred`, compiled.
+    key_pred: Option<VPredicate>,
+    covered: bool,
+    /// What the scan did, for its EXPLAIN ANALYZE line (profiled runs).
+    entries: u64,
+    key_pruned: u64,
+    lookups: u64,
 }
 
 struct VScanExec {
@@ -964,58 +987,89 @@ impl VScanExec {
         let counters = plan_counters();
         vector_counters(); // register the family even if adds stay zero
         counters.pushed_predicates.add(node.pred_count as u64);
+        let dtypes = table_dtypes(db, &node.table)?;
         let source = match &node.access {
             Access::Full => {
                 counters.full_scans.incr();
-                VSource::Batch(db.batch_scan(&node.table)?)
+                VSource::Batch(db.batch_scan(&node.table)?.project(&node.needed))
             }
             Access::ClusteredRange { lo, hi, .. } => {
                 counters.index_scans.incr();
-                VSource::Batch(db.batch_range_scan(&node.table, lo, hi)?)
+                VSource::Batch(db.batch_range_scan(&node.table, lo, hi)?.project(&node.needed))
             }
-            Access::Index { name, lo, hi, .. } => {
+            Access::Index { name, lo, hi, key_pred, covered, .. } => {
                 counters.index_scans.incr();
-                VSource::Keys {
-                    table: node.table.clone(),
-                    keys: db.index_range_keys(&node.table, name, lo, hi)?,
-                    next: 0,
-                }
+                VSource::Index(Box::new(IndexSource {
+                    scan: db.index_scan(&node.table, name, lo, hi, &node.needed)?,
+                    key_pred: key_pred.as_ref().map(|p| VPredicate::compile(p, &dtypes)),
+                    covered: *covered,
+                    entries: 0,
+                    key_pruned: 0,
+                    lookups: 0,
+                }))
             }
         };
-        let dtypes = table_dtypes(db, &node.table)?;
         let vpred = node.pred.as_ref().map(|p| VPredicate::compile(p, &dtypes));
         Ok(VScanExec { source, dtypes, vpred, tally: Tally::default(), pruned: 0 })
     }
 
     fn profile(&self) -> OpProfile {
-        self.tally.with(vec![("pruned", self.pruned)])
+        let mut extras = vec![("pruned", self.pruned)];
+        if let VSource::Index(ix) = &self.source {
+            extras.extend([
+                ("entries", ix.entries),
+                ("key_pruned", ix.key_pruned),
+                ("lookups", ix.lookups),
+            ]);
+        }
+        self.tally.with(extras)
     }
 
     fn next_batch(&mut self, db: &Database, profiled: bool) -> DbResult<Option<ColumnBatch>> {
-        let batch = match &mut self.source {
+        // `examined`: index entries or table rows this pull looked at.
+        // `vpred`: the pushed predicate, unless the batch already passed it.
+        let (batch, examined, vpred) = match &mut self.source {
             VSource::Batch(scan) => {
                 let Some(chunk) = scan.fetch_columns(db, BATCH)? else {
                     return Ok(None);
                 };
-                chunk.batch
+                let rows = chunk.batch.len() as u64;
+                (chunk.batch, rows, self.vpred.as_ref())
             }
-            VSource::Keys { table, keys, next } => {
-                if *next >= keys.len() {
+            VSource::Index(ix) => {
+                let Some(chunk) = ix.scan.fetch_entries(db, BATCH)? else {
                     return Ok(None);
+                };
+                let entries = chunk.batch.len();
+                let sel = match &ix.key_pred {
+                    Some(vp) => vp.select(&chunk.batch)?,
+                    None => (0..entries as u32).collect(),
+                };
+                let key_pruned = (entries - sel.len()) as u64;
+                let lookups = if ix.covered { 0 } else { sel.len() as u64 };
+                let counters = plan_counters();
+                counters.index_key_pruned.add(key_pruned);
+                counters.index_lookups.add(lookups);
+                if profiled {
+                    ix.entries += entries as u64;
+                    ix.key_pruned += key_pruned;
+                    ix.lookups += lookups;
                 }
-                let mut batch = ColumnBatch::with_capacity(&self.dtypes, BATCH);
-                while *next < keys.len() && batch.len() < BATCH {
-                    let key = &keys[*next];
-                    *next += 1;
-                    if let Some(payload) = db.get_raw(table, key)? {
-                        batch.push_wire(&payload)?;
-                    }
+                if !ix.covered {
+                    // Every pushed conjunct runs on the row the table
+                    // holds, the on-key ones for the second time.
+                    (ix.scan.fetch_rows(db, &chunk, &sel)?, entries as u64, self.vpred.as_ref())
+                } else {
+                    // Covered: every pushed conjunct reads entry columns
+                    // only, so `key_pred` was the whole predicate.
+                    let batch =
+                        if sel.len() == entries { chunk.batch } else { chunk.batch.gather(&sel) };
+                    (batch, entries as u64, None)
                 }
-                batch
             }
         };
-        let scanned = batch.len() as u64;
-        let batch = match &self.vpred {
+        let decoded = batch.len() as u64;
+        let batch = match vpred {
             Some(vp) => {
                 let sel = vp.select(&batch)?;
                 if sel.len() == batch.len() {
@@ -1027,14 +1081,14 @@ impl VScanExec {
             None => batch,
         };
         let kept = batch.len() as u64;
-        let pruned = scanned - kept;
+        let pruned = decoded - kept;
         plan_counters().rows_pruned.add(pruned);
         if profiled {
             self.pruned += pruned;
         }
         let vc = vector_counters();
         vc.batches.incr();
-        if let Some(pct) = (kept * 100).checked_div(scanned) {
+        if let Some(pct) = (kept * 100).checked_div(examined) {
             vc.selectivity_pct.add(pct);
         }
         Ok(Some(batch))

@@ -28,6 +28,13 @@
 //! predicate — extracted bounds only narrow the B-tree range, so coercion
 //! edge cases and NULL ordering (NULL sorts first in the key encoding)
 //! can never change results, only how many rows are examined.
+//!
+//! One more fact is computed once per scan from the bound statement:
+//! `ScanNode::needed`, the table columns anything at or above the scan
+//! reads. Every scan decodes those and nothing else; an index range scan
+//! additionally evaluates, on the index entry and before any row is read,
+//! the pushed conjuncts that reference only entry columns, and reads no
+//! row at all when the entry holds every needed column.
 
 use super::ast::{
     AggFunc, ColRef, Select, SelectItem, SqlBinOp, SqlExpr,
@@ -47,8 +54,8 @@ use std::collections::HashMap;
 /// planner switches. [`PlanOptions::default`] is the planner with every
 /// rewrite plus the one (columnar) executor — what every production
 /// caller passes. [`PlanOptions::naive`] is the reference evaluator
-/// ([`super::reference`]) that the identity tests and the `sql_plan` bench
-/// compare the planned pipeline against. EXPLAIN ignores the selector.
+/// ([`super::reference`]) that the identity tests compare the planned
+/// pipeline against. EXPLAIN ignores the selector.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct PlanOptions {
     pub(super) reference: bool,
@@ -254,8 +261,8 @@ pub(crate) enum Access {
         /// Leading key columns the range bounds.
         bounded: usize,
     },
-    /// B-tree range over a secondary index, fetching rows through the
-    /// clustering key.
+    /// B-tree range over a secondary index. An entry holds the index
+    /// columns and the clustering key (`Database::index_entry_cols`).
     Index {
         /// Index name.
         name: String,
@@ -265,6 +272,15 @@ pub(crate) enum Access {
         hi: Vec<Value>,
         /// Leading index columns the range bounds.
         bounded: usize,
+        /// Conjunction of the pushed conjuncts that reference only entry
+        /// columns: evaluated on the entry, before any row is read (and,
+        /// as part of `ScanNode::pred`, again on every row that is).
+        key_pred: Option<Expr>,
+        /// Number of conjuncts in `key_pred`.
+        key_pred_count: usize,
+        /// Every needed column is an entry column: the entries are the
+        /// answer and no row is read.
+        covered: bool,
     },
 }
 
@@ -281,6 +297,12 @@ pub(crate) struct ScanNode {
     pub pred: Option<Expr>,
     /// Number of pushed conjuncts (drives `stardb.plan.pushed_predicates`).
     pub pred_count: usize,
+    /// `needed[c]`: something at or above this scan reads table column `c`
+    /// — a pushed conjunct, a join key or predicate, a filter, the
+    /// projection (hidden ORDER BY keys included), an aggregate argument or
+    /// the group key. The scan decodes these columns and leaves the rest
+    /// absent (`crate::colbatch`).
+    pub needed: Vec<bool>,
     pub table_rows: u64,
     pub est_rows: u64,
 }
@@ -493,6 +515,21 @@ pub(crate) fn plan_select(db: &Database, s: &Select) -> DbResult<SelectPlan> {
     let BoundSelect { tables, dtypes, ons, filter: where_bound, columns, shape, sort } =
         bind_select(db, s)?;
 
+    // Every column the statement reads, over the concatenated row. HAVING
+    // and the sort keys address the shape's output, not table columns.
+    let mut read = vec![false; dtypes.len()];
+    let mut mark = |e: &Expr| e.for_each_col(&mut |c| read[c] = true);
+    where_bound.iter().chain(ons.iter().flatten()).for_each(&mut mark);
+    match &shape {
+        OutputShape::Plain { exprs, .. } => exprs.iter().for_each(&mut mark),
+        OutputShape::Aggregate { group_pos, specs, .. } => {
+            specs.iter().for_each(|spec| mark(&spec.arg));
+            if let Some(g) = *group_pos {
+                read[g] = true;
+            }
+        }
+    }
+
     // ---- stage 2: planner rewrites ----
     // Conjuncts pushed to each table, re-based to table-local positions.
     let mut local: Vec<Vec<Expr>> = tables.iter().map(|_| Vec::new()).collect();
@@ -569,8 +606,9 @@ pub(crate) fn plan_select(db: &Database, s: &Select) -> DbResult<SelectPlan> {
 
     // Access paths: sargable bounds narrow a B-tree range per table.
     let mut scans: Vec<ScanNode> = Vec::new();
-    for (t, conjuncts) in tables.iter().zip(local) {
-        scans.push(plan_scan(db, t, conjuncts)?);
+    for (i, (t, conjuncts)) in tables.iter().zip(local).enumerate() {
+        let end = tables.get(i + 1).map_or(read.len(), |next| next.offset);
+        scans.push(plan_scan(db, t, conjuncts, read[t.offset..end].to_vec())?);
     }
     let mut scans = scans.into_iter();
     let scan = scans.next().expect("FROM table");
@@ -714,7 +752,12 @@ impl ColBounds {
 }
 
 /// Choose the access path for one base table from its pushed conjuncts.
-fn plan_scan(db: &Database, t: &TableCtx, conjuncts: Vec<Expr>) -> DbResult<ScanNode> {
+fn plan_scan(
+    db: &Database,
+    t: &TableCtx,
+    conjuncts: Vec<Expr>,
+    needed: Vec<bool>,
+) -> DbResult<ScanNode> {
     let pred_count = conjuncts.len();
     let stats = db.table_stats(&t.name)?;
     let mut access = Access::Full;
@@ -735,7 +778,24 @@ fn plan_scan(db: &Database, t: &TableCtx, conjuncts: Vec<Expr>) -> DbResult<Scan
                 let cols = db.index_key_cols(&t.name, &index)?;
                 if let Some((lo, hi, n)) = prefix_range(&cols, &bounds) {
                     if n > bounded {
-                        access = Access::Index { name: index, lo, hi, bounded: n };
+                        let entry = db.index_entry_cols(&t.name, &index)?;
+                        let on_key: Vec<Expr> = conjuncts
+                            .iter()
+                            .filter(|c| c.col_refs().iter().all(|col| entry.contains(col)))
+                            .cloned()
+                            .collect();
+                        let covered = (0..needed.len()).all(|c| !needed[c] || entry.contains(&c));
+                        // A pushed conjunct's columns are needed columns.
+                        debug_assert!(!covered || on_key.len() == conjuncts.len());
+                        access = Access::Index {
+                            name: index,
+                            lo,
+                            hi,
+                            bounded: n,
+                            key_pred_count: on_key.len(),
+                            key_pred: Expr::join_conjuncts(on_key),
+                            covered,
+                        };
                         bounded = n;
                     }
                 }
@@ -750,6 +810,7 @@ fn plan_scan(db: &Database, t: &TableCtx, conjuncts: Vec<Expr>) -> DbResult<Scan
         access,
         pred: Expr::join_conjuncts(conjuncts),
         pred_count,
+        needed,
         table_rows: stats.rows,
         est_rows,
     })
@@ -839,7 +900,11 @@ fn coerce_bound(v: &Value, dtype: DataType, is_lo: bool) -> Option<Value> {
         },
         DataType::Real | DataType::Float => match v {
             Value::Int(_) | Value::BigInt(_) | Value::Real(_) | Value::Float(_) => {
-                Some(Value::Float(v.as_f64().ok()?))
+                let f = v.as_f64().ok()?;
+                // The comparison holds -0.0 equal to 0.0; the key codec
+                // orders it first. A zero bound must admit both.
+                let zero = if is_lo { -0.0 } else { 0.0 };
+                Some(Value::Float(if f == 0.0 { zero } else { f }))
             }
             _ => None,
         },
@@ -1051,13 +1116,19 @@ fn plural(n: usize) -> &'static str {
 
 fn scan_line(s: &ScanNode) -> String {
     let order = if s.clustered { "clustered order" } else { "heap order" };
+    let read = s.needed.iter().filter(|&&n| n).count();
+    let cols = s.needed.len();
     match &s.access {
         Access::Full => {
             if s.pred_count == 0 {
-                format!("scan {} AS {} ({} rows, {order})", s.table, s.alias, s.table_rows)
+                format!(
+                    "scan {} AS {} ({} rows, {order}, reads {read} of {cols} cols)",
+                    s.table, s.alias, s.table_rows
+                )
             } else {
                 format!(
-                    "scan {} AS {} ({} rows, {order}, pushed WHERE: {} {}, est {} rows)",
+                    "scan {} AS {} ({} rows, {order}, reads {read} of {cols} cols, \
+                     pushed WHERE: {} {}, est {} rows)",
                     s.table,
                     s.alias,
                     s.table_rows,
@@ -1069,7 +1140,7 @@ fn scan_line(s: &ScanNode) -> String {
         }
         Access::ClusteredRange { bounded, .. } => format!(
             "clustered index range scan {} AS {} ({bounded} key cols bounded, \
-             pushed WHERE: {} {}, est {} of {} rows)",
+             reads {read} of {cols} cols, pushed WHERE: {} {}, est {} of {} rows)",
             s.table,
             s.alias,
             s.pred_count,
@@ -1077,16 +1148,23 @@ fn scan_line(s: &ScanNode) -> String {
             s.est_rows,
             s.table_rows
         ),
-        Access::Index { name, bounded, .. } => format!(
-            "index range scan {} AS {} via {name} ({bounded} key cols bounded, \
-             pushed WHERE: {} {}, est {} of {} rows)",
-            s.table,
-            s.alias,
-            s.pred_count,
-            plural(s.pred_count),
-            s.est_rows,
-            s.table_rows
-        ),
+        Access::Index { name, bounded, key_pred_count, covered, .. } => {
+            let rows = if *covered {
+                "index-only".to_owned()
+            } else {
+                format!("lookup {read} of {cols} cols")
+            };
+            format!(
+                "index range scan {} AS {} via {name} ({bounded} key cols bounded, \
+                 {key_pred_count} of {} {} on key, {rows}, est {} of {} rows)",
+                s.table,
+                s.alias,
+                s.pred_count,
+                plural(s.pred_count),
+                s.est_rows,
+                s.table_rows
+            )
+        }
     }
 }
 

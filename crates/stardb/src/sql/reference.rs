@@ -128,7 +128,7 @@ mod tests {
             });
             counters.into_iter().collect()
         };
-        assert_eq!(watched().len(), 11, "counter families not all registered: {:?}", watched());
+        assert_eq!(watched().len(), 13, "counter families not all registered: {:?}", watched());
         // Counters are process-global and only grow, and other tests run
         // concurrently: one attempt with no movement proves the reference
         // moves none, while a reference that moved one would on every attempt.

@@ -506,6 +506,45 @@ fn index_range_scan_examines_fewer_rows_than_full_scan() {
 }
 
 #[test]
+fn index_scan_filters_on_the_key_and_reads_rows_only_when_it_must() {
+    obs::set_enabled(true);
+    let mut d = db();
+    d.execute_sql("CREATE INDEX idx_radec ON Galaxy (ra, dec)").unwrap();
+    let key_pruned = obs::counter("stardb.plan.index_key_pruned");
+    let lookups = obs::counter("stardb.plan.index_lookups");
+    let (kp0, lk0) = (key_pruned.get(), lookups.get());
+    // The ra range admits entries 2..=5; dec sits in the key too and
+    // rejects 2 and 5 there, so two rows are read for `i`, none discarded.
+    let window = "ra BETWEEN 180.5 AND 183 AND dec BETWEEN 0 AND 2";
+    let analyze = |d: &mut Database, select: &str| {
+        explain(d, &format!("EXPLAIN ANALYZE SELECT {select} FROM Galaxy WHERE {window}"))
+    };
+    let steps = analyze(&mut d, "objid, i");
+    assert!(steps[0].contains("2 of 2 predicates on key, lookup 4 of 5 cols"), "{}", steps[0]);
+    assert!(steps[0].contains("rows=2 "), "{}", steps[0]);
+    assert!(steps[0].contains("pruned=0 entries=4 key_pruned=2 lookups=2)"), "{}", steps[0]);
+    // The process-wide counters saw at least this statement.
+    assert!(key_pruned.get() - kp0 >= 2 && lookups.get() - lk0 >= 2);
+    // Nothing the entry lacks is read: the entries are the answer.
+    let steps = analyze(&mut d, "objid, dec");
+    assert!(steps[0].contains("2 of 2 predicates on key, index-only"), "{}", steps[0]);
+    assert!(steps[0].contains("pruned=0 entries=4 key_pruned=2 lookups=0)"), "{}", steps[0]);
+    let (_, rs) = rows(&mut d, &format!("SELECT objid, dec FROM Galaxy WHERE {window}"));
+    assert_eq!(rs, vec![
+        Row(vec![Value::BigInt(3), Value::Float(0.1)]),
+        Row(vec![Value::BigInt(4), Value::Float(1.5)]),
+    ]);
+    // A conjunct on a column outside the entry waits for the row: every
+    // key survivor is read, and `pruned` counts the rows it then rejects.
+    let steps = explain(
+        &mut d,
+        &format!("EXPLAIN ANALYZE SELECT objid FROM Galaxy WHERE {window} AND i > 20"),
+    );
+    assert!(steps[0].contains("2 of 3 predicates on key, lookup 4 of 5 cols"), "{}", steps[0]);
+    assert!(steps[0].contains("pruned=1 entries=4 key_pruned=2 lookups=2)"), "{}", steps[0]);
+}
+
+#[test]
 fn predicates_push_below_joins() {
     let mut d = db();
     d.execute_sql("CREATE TABLE Label (objid BIGINT PRIMARY KEY, tag VARCHAR(8))").unwrap();

@@ -72,4 +72,52 @@ fn sargable_corpus_queries_explain_as_index_range_scans() {
         "full plan: {full:?}"
     );
     assert!(full[0].contains("pushed WHERE"), "residual pushed: {full:?}");
+    assert!(full[0].contains("reads 3 of 7 cols"), "projected decode: {full:?}");
+
+    // What an index range scan does with its entries is part of the plan.
+    // Figure 4: both window predicates run on the `(ra, dec)` key, and the
+    // survivors' rows are read for `i`.
+    let window = skycore::SkyRegion::new(176.25, 183.5, -2.75, 3.5);
+    let fig4 = explain(&mut d, &maxbcg::region_query::region_select(&window));
+    assert!(
+        fig4[0].contains(
+            "via idx_ra (1 key cols bounded, 2 of 2 predicates on key, lookup 4 of 7 cols"
+        ),
+        "fig4 plan: {fig4:?}"
+    );
+    // The session's join and `count_in_region` read nothing an entry lacks.
+    let join = explain(
+        &mut d,
+        "SELECT COUNT(*) FROM Galaxy g JOIN Bright b ON g.objid = b.objid \
+         WHERE g.ra BETWEEN 177.5 AND 180",
+    );
+    assert!(
+        join[0].contains("via idx_ra (1 key cols bounded, 1 of 1 predicate on key, index-only"),
+        "join plan: {join:?}"
+    );
+    let count = explain(
+        &mut d,
+        "SELECT COUNT(*) FROM Galaxy WHERE ra BETWEEN 176.25 AND 183.5 \
+         AND dec BETWEEN -2.75 AND 3.5",
+    );
+    assert!(
+        count[0].contains("via idx_ra (1 key cols bounded, 2 of 2 predicates on key, index-only"),
+        "count_in_region plan: {count:?}"
+    );
+    // A column outside the entry costs the lookup; the only predicate there
+    // is to run on the key is the range itself.
+    let lookup = explain(&mut d, "SELECT objid, gr FROM Galaxy WHERE ra BETWEEN 177.5 AND 180");
+    assert!(
+        lookup[0].contains(
+            "via idx_ra (1 key cols bounded, 1 of 1 predicate on key, lookup 3 of 7 cols"
+        ),
+        "lookup plan: {lookup:?}"
+    );
+    // A predicate on a column the entry lacks waits for the row.
+    let mixed =
+        explain(&mut d, "SELECT objid FROM Galaxy WHERE ra BETWEEN 177.5 AND 180 AND mag < 20");
+    assert!(
+        mixed[0].contains("1 of 2 predicates on key, lookup 3 of 7 cols"),
+        "mixed plan: {mixed:?}"
+    );
 }

@@ -176,6 +176,8 @@ const REQUIRED_COUNTERS: &[&str] = &[
     "stardb.plan.full_scans",
     "stardb.plan.pushed_predicates",
     "stardb.plan.rows_pruned",
+    "stardb.plan.index_key_pruned",
+    "stardb.plan.index_lookups",
     "maxbcg.pipeline.runs",
     "maxbcg.task.spZone.elapsed_ns",
     "maxbcg.task.fBCGCandidate.elapsed_ns",
