@@ -1,16 +1,15 @@
 //! `fBCGCandidate`: the per-galaxy likelihood evaluation, database style —
-//! the χ² filter as a k-correction join, one zone-indexed neighbor search
-//! bounded by the windows of the passing redshifts, and the neighbor join
-//! back to `Galaxy` for photometry.
+//! the χ² filter as a k-correction join and one zone-indexed neighbor search
+//! bounded by the windows of the passing redshifts, whose hits carry the
+//! photometry the windows cut on.
 
-use crate::import::galaxy_from_payload;
 use crate::neighbors::visit_nearby_with;
 use crate::zone_cache::ZoneSnapshot;
 use skycore::bcg::{self, BcgParams, PassingRedshift};
 use skycore::kcorr::KcorrTable;
 use skycore::types::{Candidate, Friend, Galaxy};
 use skycore::ZoneScheme;
-use stardb::{Database, DbError, DbResult, Value};
+use stardb::{Database, DbError, DbResult};
 use std::sync::OnceLock;
 
 struct CandidateObs {
@@ -74,36 +73,19 @@ pub fn f_bcg_candidate(
         (all, w)
     };
 
-    // Look for neighbors in the Zone table, then join with Galaxy for
-    // photometry and apply the bounding windows.
+    // Look for neighbors in the Zone table and apply the bounding windows
+    // to the photometry each hit carries — the appendix's
+    // `JOIN Galaxy g ON g.objid = n.objid`, answered from the index.
     let mut friends: Vec<Friend> = Vec::new();
-    let mut join_err: Option<DbError> = None;
-    visit_nearby_with(db, snap, scheme, g.ra, g.dec, windows.radius_deg, |objid, distance, _| {
-        if objid == g.objid {
-            return true;
-        }
-        match db.get("Galaxy", &[Value::BigInt(objid)]) {
-            Ok(Some(row)) => {
-                let n = galaxy_from_payload(&row.encode());
-                let f = Friend { objid, distance, i: n.i, gr: n.gr, ri: n.ri };
-                if windows.admits(&f) {
-                    friends.push(f);
-                }
-                true
-            }
-            // Zone rows always reference Galaxy rows; a miss would mean
-            // the zone table is stale, which insert/truncate discipline
-            // prevents — but surface it rather than ignore it.
-            Ok(None) => true,
-            Err(e) => {
-                join_err = Some(e);
-                false
+    visit_nearby_with(db, snap, scheme, g.ra, g.dec, windows.radius_deg, |hit| {
+        if hit.objid != g.objid {
+            let f = hit.friend();
+            if windows.admits(&f) {
+                friends.push(f);
             }
         }
+        true
     })?;
-    if let Some(e) = join_err {
-        return Err(e);
-    }
     cobs().friends_joined.add(friends.len() as u64);
 
     // Count neighbors per redshift and pick the most likely.
@@ -146,13 +128,14 @@ pub fn f_bcg_candidate(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::import::sp_import_galaxy;
+    use crate::import::{galaxy_from_payload, sp_import_galaxy};
+    use crate::neighbors::nearby_obj_eq_zd;
     use crate::schema::create_schema;
     use crate::zone_task::sp_zone;
     use skycore::kcorr::KcorrConfig;
     use skycore::SkyRegion;
     use skysim::{Sky, SkyConfig};
-    use stardb::DbConfig;
+    use stardb::{DbConfig, Value};
 
     fn setup() -> (Database, Sky, KcorrTable, ZoneScheme) {
         let kcorr = KcorrTable::generate(KcorrConfig::sql());
@@ -173,6 +156,105 @@ mod tests {
     fn db_galaxy(db: &Database, objid: i64) -> Galaxy {
         let row = db.get("Galaxy", &[Value::BigInt(objid)]).unwrap().unwrap();
         galaxy_from_payload(&row.encode())
+    }
+
+    /// The join this function used to run, kept as the reference: one
+    /// `Galaxy` point read per neighbor for its photometry.
+    fn via_galaxy_join(
+        db: &Database,
+        kcorr: &KcorrTable,
+        scheme: &ZoneScheme,
+        params: &BcgParams,
+        g: &Galaxy,
+    ) -> Option<Candidate> {
+        bcg::evaluate_candidate(g, kcorr, params, |w| {
+            let hits = nearby_obj_eq_zd(db, scheme, g.ra, g.dec, w.radius_deg).unwrap();
+            hits.iter()
+                .map(|n| {
+                    let o = db_galaxy(db, n.objid);
+                    Friend { objid: n.objid, distance: n.distance, i: o.i, gr: o.gr, ri: o.ri }
+                })
+                .collect()
+        })
+    }
+
+    #[test]
+    fn covered_read_agrees_with_the_galaxy_join_on_every_path() {
+        let (mut db, sky, kcorr, scheme) = setup();
+        let params = BcgParams::default();
+        let galaxies: Vec<Galaxy> = sky.galaxies.iter().map(|g| db_galaxy(&db, g.objid)).collect();
+        let joined: Vec<Option<Candidate>> =
+            galaxies.iter().map(|g| via_galaxy_join(&db, &kcorr, &scheme, &params, g)).collect();
+        assert!(joined.iter().flatten().count() > 20, "need candidates to compare");
+        let snap = ZoneSnapshot::build(&db).unwrap();
+        let agree = |db: &Database, snap: Option<&ZoneSnapshot>, early: bool, what: &str| {
+            for (g, want) in galaxies.iter().zip(&joined) {
+                let got = f_bcg_candidate(db, snap, &kcorr, &scheme, &params, g, early).unwrap();
+                assert_eq!(&got, want, "{what}: objid {}", g.objid);
+            }
+        };
+        agree(&db, None, true, "no snapshot");
+        agree(&db, Some(&snap), true, "fresh snapshot");
+        agree(&db, Some(&snap), false, "fresh snapshot, no early filter");
+        sp_zone(&mut db, &scheme).unwrap();
+        assert!(!snap.is_fresh(&db));
+        agree(&db, Some(&snap), true, "stale snapshot");
+        agree(&db, Some(&snap), false, "stale snapshot, no early filter");
+    }
+
+    #[test]
+    fn a_passing_galaxy_reads_zone_pages_only() {
+        let (db, sky, kcorr, scheme) = setup();
+        let params = BcgParams::default();
+        let snap = ZoneSnapshot::build(&db).unwrap();
+        let reads = || db.io_stats().logical_reads;
+        let mut pinned = 0;
+        for g in sky.galaxies.iter().map(|g| db_galaxy(&db, g.objid)) {
+            let passing = bcg::passing_redshifts(&g, &kcorr, &params);
+            if passing.is_empty() {
+                continue;
+            }
+            // Fresh snapshot: the whole evaluation is off the buffer pool.
+            let before = reads();
+            f_bcg_candidate(&db, Some(&snap), &kcorr, &scheme, &params, &g, true).unwrap();
+            assert_eq!(reads(), before, "objid {} touched the pool", g.objid);
+            // B-tree path: exactly the pages of the bare zone search.
+            let r = bcg::search_windows(g.i, &passing, &kcorr, &params).radius_deg;
+            let before = reads();
+            crate::neighbors::visit_nearby(&db, &scheme, g.ra, g.dec, r, |_| true).unwrap();
+            let search_only = reads() - before;
+            assert!(search_only > 0);
+            let before = reads();
+            f_bcg_candidate(&db, None, &kcorr, &scheme, &params, &g, true).unwrap();
+            assert_eq!(reads() - before, search_only, "objid {} read beyond Zone", g.objid);
+            pinned += 1;
+        }
+        assert!(pinned > 50, "only {pinned} galaxies passed the filter");
+    }
+
+    #[test]
+    fn windowed_chisq_filter_equals_the_exhaustive_loop_on_every_galaxy() {
+        let (db, sky, kcorr, _) = setup();
+        let params = BcgParams::default();
+        let (mut passing_rows, mut passing_galaxies) = (0, 0);
+        for g in sky.galaxies.iter().map(|g| db_galaxy(&db, g.objid)) {
+            let exhaustive: Vec<(u32, u64)> = kcorr
+                .rows()
+                .iter()
+                .map(|k| (k.zid, bcg::chisq(&g, k, &params)))
+                .filter(|&(_, c)| c < params.chisq_cut)
+                .map(|(zid, c)| (zid, c.to_bits()))
+                .collect();
+            let windowed: Vec<(u32, u64)> = bcg::passing_redshifts(&g, &kcorr, &params)
+                .iter()
+                .map(|pr| (pr.zid, pr.chisq.to_bits()))
+                .collect();
+            assert_eq!(windowed, exhaustive, "objid {}", g.objid);
+            passing_rows += windowed.len();
+            passing_galaxies += usize::from(!windowed.is_empty());
+        }
+        assert!(passing_galaxies > 50 && passing_rows > passing_galaxies);
+        assert!(passing_galaxies * 5 < sky.galaxies.len(), "most galaxies must fail everywhere");
     }
 
     #[test]

@@ -26,7 +26,7 @@ pub mod xmatch;
 pub mod zone_cache;
 pub mod zone_task;
 
-pub use neighbors::{nearby_obj_eq_zd, visit_nearby, visit_nearby_with, Neighbor};
+pub use neighbors::{nearby_obj_eq_zd, visit_nearby, visit_nearby_with, Neighbor, ZoneHit};
 pub use partition::{
     run_partitioned, run_partitioned_recovering, PartitionedRun, RecoveryPolicy, RecoveryReport,
 };

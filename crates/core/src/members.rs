@@ -4,12 +4,11 @@
 //! magnitude and ridge-line color windows at the cluster redshift.
 
 use crate::cluster::candidate_from_row;
-use crate::import::galaxy_from_payload;
 use crate::neighbors::visit_nearby_with;
 use crate::zone_cache::ZoneSnapshot;
 use skycore::bcg::{self, BcgParams};
 use skycore::kcorr::KcorrTable;
-use skycore::types::{Cluster, ClusterMember, Friend};
+use skycore::types::{Cluster, ClusterMember};
 use skycore::ZoneScheme;
 use stardb::{Database, DbResult, Row, Value};
 
@@ -34,42 +33,24 @@ pub fn f_get_cluster_galaxies(
         galaxy_objid: cluster.objid,
         distance: 0.0,
     }];
-    let mut join_err: Option<stardb::DbError> = None;
-    visit_nearby_with(db, snap, scheme, cluster.ra, cluster.dec, w.radius_deg, |objid, distance, _| {
-        if objid == cluster.objid {
-            return true;
+    visit_nearby_with(db, snap, scheme, cluster.ra, cluster.dec, w.radius_deg, |hit| {
+        if hit.objid != cluster.objid && w.admits(&hit.friend()) {
+            members.push(ClusterMember {
+                cluster_objid: cluster.objid,
+                galaxy_objid: hit.objid,
+                distance: hit.distance,
+            });
         }
-        match db.get("Galaxy", &[Value::BigInt(objid)]) {
-            Ok(Some(row)) => {
-                let g = galaxy_from_payload(&row.encode());
-                let f = Friend { objid, distance, i: g.i, gr: g.gr, ri: g.ri };
-                if w.admits(&f) {
-                    members.push(ClusterMember {
-                        cluster_objid: cluster.objid,
-                        galaxy_objid: objid,
-                        distance,
-                    });
-                }
-                true
-            }
-            Ok(None) => true,
-            Err(e) => {
-                join_err = Some(e);
-                false
-            }
-        }
+        true
     })?;
-    match join_err {
-        Some(e) => Err(e),
-        None => Ok(members),
-    }
+    Ok(members)
 }
 
 /// `spMakeGalaxiesMetric`: loop over `Clusters` (a cursor in the paper)
 /// filling `ClusterGalaxiesMetric`. Returns the number of membership rows.
 ///
 /// `workers > 1` expands clusters on a zone-striped worker pool
-/// (`fGetClusterGalaxiesMetric` only reads `Galaxy` and `Zone`). The
+/// (`fGetClusterGalaxiesMetric` only reads `Zone`). The
 /// metric table is a heap whose scan order is insertion order, so the
 /// per-cluster groups are merged back into cluster-objid order — the
 /// sequential insertion order, `Clusters` being objid-clustered — before
@@ -131,11 +112,12 @@ pub fn sp_make_galaxies_metric(
 mod tests {
     use super::*;
     use crate::cluster::candidate_row;
-    use crate::import::sp_import_galaxy;
+    use crate::import::{galaxy_from_row, sp_import_galaxy};
+    use crate::neighbors::nearby_obj_eq_zd;
     use crate::schema::create_schema;
     use crate::zone_task::sp_zone;
     use skycore::kcorr::KcorrConfig;
-    use skycore::types::Candidate;
+    use skycore::types::{Candidate, Friend};
     use skycore::{Galaxy, SkyRegion};
     use stardb::DbConfig;
 
@@ -176,6 +158,62 @@ mod tests {
             Candidate { objid: 1, ra: 180.0, dec: 0.0, z: 0.15, i: k.i, ngal: 6, chi2: 1.0 };
         db.insert("Clusters", candidate_row(&cluster)).unwrap();
         (db, kcorr, scheme, cluster)
+    }
+
+    /// The join this function used to run, kept as the reference: one
+    /// `Galaxy` point read per neighbor for its photometry.
+    fn via_galaxy_join(
+        db: &Database,
+        kcorr: &KcorrTable,
+        scheme: &ZoneScheme,
+        p: &BcgParams,
+        c: &Cluster,
+    ) -> Vec<ClusterMember> {
+        let w = bcg::member_windows(kcorr.nearest(c.z), c.i, f64::from(c.ngal), p);
+        let member = |galaxy_objid, distance| ClusterMember {
+            cluster_objid: c.objid,
+            galaxy_objid,
+            distance,
+        };
+        let mut out = vec![member(c.objid, 0.0)];
+        let hits = nearby_obj_eq_zd(db, scheme, c.ra, c.dec, w.radius_deg).unwrap();
+        for n in hits.iter().filter(|n| n.objid != c.objid) {
+            let row = db.get("Galaxy", &[Value::BigInt(n.objid)]).unwrap().unwrap();
+            let g = galaxy_from_row(&row).unwrap();
+            let (objid, distance) = (n.objid, n.distance);
+            if w.admits(&Friend { objid, distance, i: g.i, gr: g.gr, ri: g.ri }) {
+                out.push(member(objid, distance));
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn covered_read_agrees_with_the_galaxy_join_on_every_path() {
+        let (mut run, kcorr) = crate::pipeline::test_run(707);
+        let (scheme, p) = (*run.scheme(), BcgParams::default());
+        let clusters = run.clusters().unwrap();
+        assert!(clusters.len() > 5, "need clusters to compare, got {}", clusters.len());
+        let joined: Vec<Vec<ClusterMember>> =
+            clusters.iter().map(|c| via_galaxy_join(run.db(), &kcorr, &scheme, &p, c)).collect();
+        assert!(joined.iter().any(|ms| ms.len() > 3), "need clusters with members");
+        // Concatenated in Clusters order, the reference is the table the
+        // procedure wrote.
+        assert_eq!(joined.concat(), run.members().unwrap());
+        let snap = run.zone_snapshot().expect("zone cache on by default").clone();
+        let agree = |db: &Database, snap: Option<&ZoneSnapshot>, what: &str| {
+            let reads = db.io_stats().logical_reads;
+            for (c, want) in clusters.iter().zip(&joined) {
+                let got = f_get_cluster_galaxies(db, snap, &kcorr, &scheme, &p, c).unwrap();
+                assert_eq!(&got, want, "{what}: cluster {}", c.objid);
+            }
+            db.io_stats().logical_reads - reads
+        };
+        assert!(agree(run.db(), None, "no snapshot") > 0);
+        assert_eq!(agree(run.db(), Some(&snap), "fresh snapshot"), 0, "fresh snapshot read pages");
+        run.make_zone().unwrap();
+        assert!(!snap.is_fresh(run.db()));
+        assert!(agree(run.db(), Some(&snap), "stale snapshot") > 0);
     }
 
     #[test]

@@ -10,8 +10,9 @@
 use crate::zone_cache::{zobs, ZoneSnapshot};
 use crate::zone_task::zone_entry_from_payload;
 use skycore::angle::{chord2_of_deg, deg_of_chord_approx};
+use skycore::types::Friend;
 use skycore::{ra_intervals, UnitVec, ZoneScheme};
-use stardb::{Database, DbResult, Value};
+use stardb::{Database, DbError, DbResult, Value};
 use std::sync::OnceLock;
 
 struct NeighborObs {
@@ -45,6 +46,40 @@ pub struct Neighbor {
     pub distance: f64,
 }
 
+/// One hit as the walker hands it to a visitor: everything the `Zone` row
+/// holds about the neighbor that a predicate downstream of the search
+/// reads, so no visitor joins back to `Galaxy`.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct ZoneHit {
+    /// Object id from the Zone table.
+    pub objid: i64,
+    /// Angular distance to the query point, degrees.
+    pub distance: f64,
+    /// Declination of the hit, degrees.
+    pub dec: f64,
+    /// i-band magnitude, the `real` bits `Galaxy` stores.
+    pub i: f32,
+    /// g-r color, as stored.
+    pub gr: f32,
+    /// r-i color, as stored.
+    pub ri: f32,
+}
+
+impl ZoneHit {
+    /// The hit as the likelihood code's neighbor type. `f64::from` of the
+    /// stored `real` is what decoding the `Galaxy` row yields, bit for bit.
+    #[inline]
+    pub fn friend(&self) -> Friend {
+        Friend {
+            objid: self.objid,
+            distance: self.distance,
+            i: f64::from(self.i),
+            gr: f64::from(self.gr),
+            ri: f64::from(self.ri),
+        }
+    }
+}
+
 /// Find every Zone-table object within `r` degrees of `(ra, dec)`.
 /// The result includes the query object itself when it is in the table
 /// (distance 0), exactly as the SQL function does — callers exclude self
@@ -57,28 +92,27 @@ pub fn nearby_obj_eq_zd(
     r: f64,
 ) -> DbResult<Vec<Neighbor>> {
     let mut out = Vec::new();
-    visit_nearby(db, scheme, ra, dec, r, |objid, distance, _| {
-        out.push(Neighbor { objid, distance });
+    visit_nearby(db, scheme, ra, dec, r, |hit| {
+        out.push(Neighbor { objid: hit.objid, distance: hit.distance });
         true
     })?;
     Ok(out)
 }
 
-/// Visitor-form of [`nearby_obj_eq_zd`] for hot loops: called with
-/// `(objid, distance_deg, dec)` per hit; return `false` to stop.
+/// Visitor-form of [`nearby_obj_eq_zd`] for hot loops: called with each
+/// [`ZoneHit`]; return `false` to stop.
 ///
-/// Hits are buffered one zone at a time and `visit` runs *after* each
-/// zone's index scan completes, so the callback is free to query the
-/// database again (the `JOIN Galaxy` / `JOIN Candidates` of the paper's
-/// functions) — index scans themselves hold the buffer-pool latch and must
-/// not re-enter the engine.
+/// `visit` runs inside the index scan, under the latch contract of
+/// [`Database::scan_with`]: it must not call back into the database. It
+/// has no reason to — `Zone` covers the neighbor predicates, so the
+/// `JOIN Galaxy` of the paper's functions is answered from the hit.
 pub fn visit_nearby(
     db: &Database,
     scheme: &ZoneScheme,
     ra: f64,
     dec: f64,
     r: f64,
-    visit: impl FnMut(i64, f64, f64) -> bool,
+    visit: impl FnMut(&ZoneHit) -> bool,
 ) -> DbResult<()> {
     visit_nearby_with(db, None, scheme, ra, dec, r, visit)
 }
@@ -97,7 +131,7 @@ pub fn visit_nearby_with(
     ra: f64,
     dec: f64,
     r: f64,
-    mut visit: impl FnMut(i64, f64, f64) -> bool,
+    mut visit: impl FnMut(&ZoneHit) -> bool,
 ) -> DbResult<()> {
     // Resolve the path once per search: the epoch read and the scans below
     // share one `&Database` borrow, so freshness cannot change mid-search.
@@ -117,62 +151,62 @@ pub fn visit_nearby_with(
     let (zone_min, zone_max) = scheme.zone_range(dec, r);
     let (dec_lo, dec_hi) = (dec - r, dec + r);
     nobs().searches.incr();
-    // Reused per-zone hit buffer: a zone stripe within the RA window holds
-    // at most a few dozen objects at survey densities. Hits carry the raw
-    // squared chord — the asin in `deg_of_chord_approx` runs after the
-    // scan, only for survivors of the chord cut, outside the latch-holding
-    // closure.
-    let mut hits: Vec<(i64, f64, f64)> = Vec::with_capacity(32);
+    // The paper's WHERE clause — dec window plus exact chord cut — on one
+    // row of either source; survivors go to the visitor. Returns whether
+    // to keep going.
+    let mut offer = |objid: i64, d: f64, pos: UnitVec, i: f32, gr: f32, ri: f32| -> bool {
+        if d >= dec_lo && d <= dec_hi {
+            let c2 = center.chord2(&pos);
+            if c2 < r2 {
+                let distance = deg_of_chord_approx(c2.sqrt());
+                return visit(&ZoneHit { objid, distance, dec: d, i, gr, ri });
+            }
+        }
+        true
+    };
     for zone in zone_min..=zone_max {
         let x = scheme.ra_half_window(dec, r, zone);
         let (intervals, n_intervals) = ra_intervals(ra, x);
-        hits.clear();
         let mut scanned: u64 = 0;
+        // Cleared once the visitor asks to stop.
+        let mut more = true;
         for &(ra_lo, ra_hi) in &intervals[..n_intervals] {
+            if !more {
+                break;
+            }
             match snap {
                 Some(s) => {
                     let b = s.bucket(zone);
                     let (start, end) = b.ra_window(ra_lo, ra_hi);
                     scanned += (end - start) as u64;
-                    for i in start..end {
-                        // The paper's WHERE clause: dec window plus exact
-                        // chord cut, on columns instead of decoded rows.
-                        let d = b.dec[i];
-                        if d >= dec_lo && d <= dec_hi {
-                            let pos = UnitVec { x: b.cx[i], y: b.cy[i], z: b.cz[i] };
-                            let c2 = center.chord2(&pos);
-                            if c2 < r2 {
-                                hits.push((b.objid[i], c2, d));
-                            }
-                        }
-                    }
+                    more = (start..end).all(|k| {
+                        let pos = UnitVec { x: b.cx[k], y: b.cy[k], z: b.cz[k] };
+                        offer(b.objid[k], b.dec[k], pos, b.i[k], b.gr[k], b.ri[k])
+                    });
                 }
                 None => {
                     let lo = [Value::Int(zone), Value::Float(ra_lo)];
                     let hi = [Value::Int(zone), Value::Float(ra_hi)];
+                    let mut bad: Option<DbError> = None;
                     db.range_scan_prefix_raw("Zone", &lo, &hi, |payload| {
                         scanned += 1;
-                        let e = zone_entry_from_payload(payload);
-                        // The paper's WHERE clause: dec window plus exact
-                        // chord cut.
-                        if e.dec >= dec_lo && e.dec <= dec_hi {
-                            let c2 = center.chord2(&e.pos);
-                            if c2 < r2 {
-                                hits.push((e.objid, c2, e.dec));
-                            }
+                        match zone_entry_from_payload(payload) {
+                            Ok(e) => more = offer(e.objid, e.dec, e.pos, e.i, e.gr, e.ri),
+                            Err(e) => bad = Some(e),
                         }
-                        true
+                        more && bad.is_none()
                     })?;
+                    if let Some(e) = bad {
+                        return Err(e);
+                    }
                 }
             }
         }
         nobs().zones_scanned.incr();
         nobs().pairs_examined.add(scanned);
         nobs().pairs_per_zone.record(scanned);
-        for &(objid, c2, hit_dec) in &hits {
-            if !visit(objid, deg_of_chord_approx(c2.sqrt()), hit_dec) {
-                return Ok(());
-            }
+        if !more {
+            return Ok(());
         }
     }
     Ok(())
@@ -265,18 +299,62 @@ mod tests {
     #[test]
     fn early_stop_via_visitor() {
         let (db, _, scheme) = setup(35);
-        let mut n = 0;
-        visit_nearby(&db, &scheme, 180.5, 0.0, 0.5, |_, _, _| {
-            n += 1;
-            n < 5
-        })
-        .unwrap();
-        assert_eq!(n, 5);
+        let snap = ZoneSnapshot::build(&db).unwrap();
+        for snap in [None, Some(&snap)] {
+            let mut n = 0;
+            visit_nearby_with(&db, snap, &scheme, 180.5, 0.0, 0.5, |_| {
+                n += 1;
+                n < 5
+            })
+            .unwrap();
+            assert_eq!(n, 5, "snapshot: {}", snap.is_some());
+        }
+    }
+
+    #[test]
+    fn a_zone_row_that_does_not_decode_fails_the_search() {
+        // Appendix DDL: Zone's non-key columns are nullable, so the table
+        // can hold a row the fixed layout cannot. The B-tree path must
+        // report it, not panic under the latch or skip it.
+        let mut db = Database::new(DbConfig::in_memory());
+        crate::script::create_schema_from_script(&mut db).unwrap();
+        let scheme = ZoneScheme::default();
+        let row = |objid: i64, ra: f64, gr: Value| {
+            let v = UnitVec::from_radec(ra, 0.0);
+            stardb::Row(vec![
+                Value::Int(scheme.zone_of(0.0)),
+                Value::Float(ra),
+                Value::BigInt(objid),
+                Value::Float(0.0),
+                Value::Float(v.x),
+                Value::Float(v.y),
+                Value::Float(v.z),
+                Value::Real(17.0),
+                gr,
+                Value::Real(0.5),
+            ])
+        };
+        db.insert("Zone", row(1, 180.0, Value::Real(1.0))).unwrap();
+        assert_eq!(nearby_obj_eq_zd(&db, &scheme, 180.0, 0.0, 0.1).unwrap().len(), 1);
+        db.insert("Zone", row(2, 180.01, Value::Null)).unwrap();
+        match nearby_obj_eq_zd(&db, &scheme, 180.0, 0.0, 0.1) {
+            Err(stardb::DbError::Corrupt(msg)) => assert!(msg.contains("70 bytes"), "{msg}"),
+            other => panic!("expected Corrupt, got {other:?}"),
+        }
+        // A search whose windows never reach the bad row is unaffected.
+        assert!(nearby_obj_eq_zd(&db, &scheme, 200.0, 0.0, 0.1).unwrap().is_empty());
+    }
+
+    /// Every field of a hit, floats as bits.
+    fn hit_bits(h: &ZoneHit) -> (i64, u64, u64, [u32; 3]) {
+        let photometry = [h.i.to_bits(), h.gr.to_bits(), h.ri.to_bits()];
+        (h.objid, h.distance.to_bits(), h.dec.to_bits(), photometry)
     }
 
     /// Dual-path harness: run a search on the B-tree path and on a fresh
-    /// snapshot, assert the *ordered* hit streams are bit-identical, and
-    /// return the sorted ids for brute-force comparison.
+    /// snapshot, assert the *ordered* hit streams — photometry included —
+    /// are bit-identical, and return the sorted ids for brute-force
+    /// comparison.
     fn both_paths(
         db: &Database,
         snap: &ZoneSnapshot,
@@ -285,16 +363,16 @@ mod tests {
         dec: f64,
         r: f64,
     ) -> Vec<i64> {
-        let mut btree: Vec<(i64, u64, u64)> = Vec::new();
-        visit_nearby_with(db, None, scheme, ra, dec, r, |id, d, hd| {
-            btree.push((id, d.to_bits(), hd.to_bits()));
+        let mut btree = Vec::new();
+        visit_nearby_with(db, None, scheme, ra, dec, r, |hit| {
+            btree.push(hit_bits(hit));
             true
         })
         .unwrap();
-        let mut soa: Vec<(i64, u64, u64)> = Vec::new();
+        let mut soa = Vec::new();
         let pool_reads = db.io_stats().logical_reads;
-        visit_nearby_with(db, Some(snap), scheme, ra, dec, r, |id, d, hd| {
-            soa.push((id, d.to_bits(), hd.to_bits()));
+        visit_nearby_with(db, Some(snap), scheme, ra, dec, r, |hit| {
+            soa.push(hit_bits(hit));
             true
         })
         .unwrap();
@@ -305,7 +383,7 @@ mod tests {
             "a fresh snapshot must serve the search without touching the buffer pool"
         );
         assert_eq!(btree, soa, "paths diverged at ({ra},{dec},{r})");
-        let mut ids: Vec<i64> = soa.into_iter().map(|(id, _, _)| id).collect();
+        let mut ids: Vec<i64> = soa.into_iter().map(|h| h.0).collect();
         ids.sort_unstable();
         ids
     }
@@ -447,8 +525,8 @@ mod tests {
         // rebuilt with identical content, only its epoch moved).
         sp_zone(&mut db, &scheme).unwrap();
         let mut stale: Vec<i64> = Vec::new();
-        visit_nearby_with(&db, Some(&snap), &scheme, 180.5, 0.0, 0.3, |id, _, _| {
-            stale.push(id);
+        visit_nearby_with(&db, Some(&snap), &scheme, 180.5, 0.0, 0.3, |hit| {
+            stale.push(hit.objid);
             true
         })
         .unwrap();

@@ -332,6 +332,21 @@ impl MaxBcgDb {
     }
 }
 
+/// A whole set-based run over a small cluster-rich sky: what the kernel
+/// modules' tests compare their reference joins on.
+#[cfg(test)]
+pub(crate) fn test_run(seed: u64) -> (MaxBcgDb, KcorrTable) {
+    let config = MaxBcgConfig { iteration: IterationMode::SetBased, ..Default::default() };
+    let kcorr = KcorrTable::generate(config.kcorr);
+    let survey = SkyRegion::new(180.0, 182.0, -1.0, 1.0);
+    let mut sky_cfg = skysim::SkyConfig::scaled(0.15);
+    sky_cfg.clusters.density_per_deg2 = 12.0;
+    let sky = Sky::generate(survey, &sky_cfg, &kcorr, seed);
+    let mut db = MaxBcgDb::new(config).unwrap();
+    db.run("test", &sky, &survey, &survey.shrunk(0.4)).unwrap();
+    (db, kcorr)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

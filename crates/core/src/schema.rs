@@ -39,9 +39,10 @@ pub fn galaxy_schema() -> Schema {
     ])
 }
 
-/// `Zone`: the spatial index table, clustered on `(zoneid, ra, objid)`.
-pub fn zone_schema() -> Schema {
-    Schema::new(vec![
+/// The positional columns of a zoned table, clustered on
+/// `(zoneid, ra, objid)`: what `Zone` and the XMatch survey tables share.
+fn zoned_position_columns() -> Vec<Column> {
+    vec![
         Column::new("zoneid", DataType::Int),
         Column::new("ra", DataType::Float),
         Column::new("objid", DataType::BigInt),
@@ -49,7 +50,26 @@ pub fn zone_schema() -> Schema {
         Column::new("cx", DataType::Float),
         Column::new("cy", DataType::Float),
         Column::new("cz", DataType::Float),
-    ])
+    ]
+}
+
+/// A zoned survey table of bare positions (the XMatch workload's shape).
+pub fn survey_schema() -> Schema {
+    Schema::new(zoned_position_columns())
+}
+
+/// `Zone`: the spatial index table, clustered on `(zoneid, ra, objid)`.
+/// `i, gr, ri` are `Galaxy`'s columns carried beside the coordinates — as
+/// the SDSS Zone table carries `type` and `mode` — so the table covers the
+/// whole neighbor predicate, photometric windows included.
+pub fn zone_schema() -> Schema {
+    let mut columns = zoned_position_columns();
+    columns.extend([
+        Column::new("i", DataType::Real),
+        Column::new("gr", DataType::Real),
+        Column::new("ri", DataType::Real),
+    ]);
+    Schema::new(columns)
 }
 
 /// `Candidates` / `Clusters`: the BCG candidate list and the selected

@@ -68,6 +68,9 @@ pub const APPENDIX_SCHEMA: &[&str] = &[
         cx float,             --/D x, y, z unit vector of object on celestial sphere
         cy float,
         cz float,
+        i real,               --/D Galaxy.i, gr, ri: carried so the index covers the
+        gr real,              --/D photometric cut that follows every neighbor search
+        ri real,              --/D (the SDSS Zone table carries type and mode likewise)
         PRIMARY KEY (zoneid, ra, objid)
     )",
 ];

@@ -156,10 +156,10 @@ impl XmatchSpec {
     }
 }
 
-/// Create a zoned survey table (the `Zone` shape: clustered on
+/// Create a zoned survey table (`Zone`'s positional columns: clustered on
 /// `(zoneid, ra, objid)` with the precomputed unit vector).
 pub fn create_survey_table(db: &mut Database, table: &str) -> DbResult<()> {
-    db.create_clustered_table(table, crate::schema::zone_schema(), &["zoneid", "ra", "objid"])
+    db.create_clustered_table(table, crate::schema::survey_schema(), &["zoneid", "ra", "objid"])
 }
 
 /// Load one catalog into `table` (created by [`create_survey_table`] and

@@ -6,10 +6,12 @@
 //! per-row payload decode — costs the worker pools of the partitioned
 //! runs multiply. After `sp_zone` rebuilds the Zone table, the pipeline
 //! materializes it once into a [`ZoneSnapshot`]: per-zone buckets of
-//! RA-sorted columns `(ra, objid, dec, cx, cy, cz)` behind a dense
-//! per-zone offset table. The neighbor kernel then binary-searches the RA
-//! window inside a bucket and runs the dec-window + chord² cut over
-//! contiguous slices, entirely off the buffer pool.
+//! RA-sorted columns `(ra, objid, dec, cx, cy, cz, i, gr, ri)` behind a
+//! dense per-zone offset table — every column of the table, so the
+//! snapshot is covering for the neighbor predicate exactly as the table
+//! is. The neighbor kernel then binary-searches the RA window inside a
+//! bucket and runs the dec-window + chord² cut over contiguous slices,
+//! entirely off the buffer pool.
 //!
 //! Correctness is by construction, not by trust: the snapshot records the
 //! Zone table's mutation epoch at build time, and the kernel compares it
@@ -21,7 +23,7 @@
 //! unit vectors: results are bit-identical on either path.
 
 use crate::zone_task::zone_entry_from_payload;
-use stardb::{Database, DbResult};
+use stardb::{Database, DbError, DbResult};
 use std::sync::OnceLock;
 use std::time::Instant;
 
@@ -68,6 +70,9 @@ pub struct ZoneSnapshot {
     cx: Vec<f64>,
     cy: Vec<f64>,
     cz: Vec<f64>,
+    i: Vec<f32>,
+    gr: Vec<f32>,
+    ri: Vec<f32>,
 }
 
 /// Borrowed column slices for one zone, RA-ascending (ties in objid order,
@@ -86,6 +91,12 @@ pub struct ZoneBucket<'a> {
     pub cy: &'a [f64],
     /// Unit-vector z, parallel to `ra`.
     pub cz: &'a [f64],
+    /// i-band magnitude as stored (`real`), parallel to `ra`.
+    pub i: &'a [f32],
+    /// g-r color as stored, parallel to `ra`.
+    pub gr: &'a [f32],
+    /// r-i color as stored, parallel to `ra`.
+    pub ri: &'a [f32],
 }
 
 impl<'a> ZoneBucket<'a> {
@@ -112,27 +123,42 @@ impl<'a> ZoneBucket<'a> {
 impl ZoneSnapshot {
     /// Materialize the Zone table. Runs one full clustered scan via
     /// `scan_raw` (key order, raw payloads) and decodes each row exactly
-    /// once. The version is read under the same shared borrow as the scan,
-    /// so no mutation can slip between the two. Using `table_version`
+    /// once; a row that does not decode fails the build with its
+    /// [`DbError::Corrupt`]. The version is read under the same shared
+    /// borrow as the scan, so no mutation can slip between the two. Using
+    /// `table_version`
     /// (commit epoch while clean, mutation epoch while dirty) instead of
     /// the raw mutation epoch means a snapshot built from committed state
     /// stays fresh until the next commit that actually touches Zone.
     pub fn build(db: &Database) -> DbResult<ZoneSnapshot> {
         let t0 = Instant::now();
+        // Sized once from the table's row count: nine columns growing by
+        // doubling would copy every row twice over on the way up.
+        let n = db.row_count("Zone")? as usize;
         let mut snap = ZoneSnapshot {
             epoch: db.table_version("Zone")?,
             zone_min: 0,
             offsets: Vec::new(),
-            ra: Vec::new(),
-            objid: Vec::new(),
-            dec: Vec::new(),
-            cx: Vec::new(),
-            cy: Vec::new(),
-            cz: Vec::new(),
+            ra: Vec::with_capacity(n),
+            objid: Vec::with_capacity(n),
+            dec: Vec::with_capacity(n),
+            cx: Vec::with_capacity(n),
+            cy: Vec::with_capacity(n),
+            cz: Vec::with_capacity(n),
+            i: Vec::with_capacity(n),
+            gr: Vec::with_capacity(n),
+            ri: Vec::with_capacity(n),
         };
         let mut last_zone: Option<i32> = None;
+        let mut bad: Option<DbError> = None;
         db.scan_raw("Zone", |payload| {
-            let e = zone_entry_from_payload(payload);
+            let e = match zone_entry_from_payload(payload) {
+                Ok(e) => e,
+                Err(err) => {
+                    bad = Some(err);
+                    return false;
+                }
+            };
             let at = snap.ra.len() as u32;
             match last_zone {
                 None => {
@@ -155,8 +181,14 @@ impl ZoneSnapshot {
             snap.cx.push(e.pos.x);
             snap.cy.push(e.pos.y);
             snap.cz.push(e.pos.z);
+            snap.i.push(e.i);
+            snap.gr.push(e.gr);
+            snap.ri.push(e.ri);
             true
         })?;
+        if let Some(err) = bad {
+            return Err(err);
+        }
         snap.offsets.push(snap.ra.len() as u32);
         let z = zobs();
         z.builds.incr();
@@ -182,7 +214,7 @@ impl ZoneSnapshot {
 
     /// Heap footprint of the column arrays and offset table.
     pub fn bytes(&self) -> usize {
-        self.offsets.len() * 4 + self.ra.len() * 8 * 6
+        self.offsets.len() * 4 + self.ra.len() * (8 * 6 + 4 * 3)
     }
 
     /// Column slices for `zone`; empty bucket when the zone holds no rows
@@ -190,7 +222,17 @@ impl ZoneSnapshot {
     pub fn bucket(&self, zone: i32) -> ZoneBucket<'_> {
         let idx = i64::from(zone) - i64::from(self.zone_min);
         if idx < 0 || idx as usize + 1 >= self.offsets.len() {
-            return ZoneBucket { ra: &[], objid: &[], dec: &[], cx: &[], cy: &[], cz: &[] };
+            return ZoneBucket {
+                ra: &[],
+                objid: &[],
+                dec: &[],
+                cx: &[],
+                cy: &[],
+                cz: &[],
+                i: &[],
+                gr: &[],
+                ri: &[],
+            };
         }
         let a = self.offsets[idx as usize] as usize;
         let b = self.offsets[idx as usize + 1] as usize;
@@ -201,6 +243,9 @@ impl ZoneSnapshot {
             cx: &self.cx[a..b],
             cy: &self.cy[a..b],
             cz: &self.cz[a..b],
+            i: &self.i[a..b],
+            gr: &self.gr[a..b],
+            ri: &self.ri[a..b],
         }
     }
 }
@@ -231,7 +276,7 @@ mod tests {
     fn zone_rows(db: &Database) -> Vec<ZoneEntry> {
         let mut rows = Vec::new();
         db.scan_raw("Zone", |p| {
-            rows.push(zone_entry_from_payload(p));
+            rows.push(zone_entry_from_payload(p).unwrap());
             true
         })
         .unwrap();
@@ -263,6 +308,9 @@ mod tests {
                 assert_eq!(b.cx[i].to_bits(), e.pos.x.to_bits());
                 assert_eq!(b.cy[i].to_bits(), e.pos.y.to_bits());
                 assert_eq!(b.cz[i].to_bits(), e.pos.z.to_bits());
+                assert_eq!(b.i[i].to_bits(), e.i.to_bits());
+                assert_eq!(b.gr[i].to_bits(), e.gr.to_bits());
+                assert_eq!(b.ri[i].to_bits(), e.ri.to_bits());
             }
             walked += b.len();
             // RA ascending inside the bucket.
@@ -293,7 +341,7 @@ mod tests {
                 &[Value::Int(mid_zone), Value::Float(lo)],
                 &[Value::Int(mid_zone), Value::Float(hi)],
                 |p| {
-                    slow.push(zone_entry_from_payload(p).objid);
+                    slow.push(zone_entry_from_payload(p).unwrap().objid);
                     true
                 },
             )
@@ -329,5 +377,34 @@ mod tests {
         assert_eq!(snap.rows(), 0);
         assert!(snap.bucket(10800).is_empty());
         assert!(snap.is_fresh(&db));
+    }
+
+    #[test]
+    fn a_zone_row_that_does_not_decode_fails_the_build() {
+        // The appendix DDL leaves Zone's non-key columns nullable, so SQL
+        // can store a row the fixed layout cannot hold.
+        let mut db = Database::new(DbConfig::in_memory());
+        crate::script::create_schema_from_script(&mut db).unwrap();
+        let mut row = vec![
+            Value::Int(10800),
+            Value::Float(180.0),
+            Value::BigInt(1),
+            Value::Float(0.0),
+            Value::Float(-1.0),
+            Value::Float(0.0),
+            Value::Float(0.0),
+            Value::Real(17.0),
+            Value::Real(1.0),
+            Value::Real(0.5),
+        ];
+        db.insert("Zone", stardb::Row(row.clone())).unwrap();
+        assert_eq!(ZoneSnapshot::build(&db).unwrap().rows(), 1);
+        row[2] = Value::BigInt(2);
+        row[8] = Value::Null;
+        db.insert("Zone", stardb::Row(row)).unwrap();
+        match ZoneSnapshot::build(&db) {
+            Err(DbError::Corrupt(msg)) => assert!(msg.contains("70 bytes"), "{msg}"),
+            other => panic!("expected Corrupt, got {other:?}"),
+        }
     }
 }

@@ -94,12 +94,37 @@ pub struct PassingRedshift {
 /// Returns rows in increasing `zid` order. An empty result means the galaxy
 /// is discarded before any spatial work — the common case (~97% of
 /// galaxies).
+///
+/// [`chisq`] is a sum of three non-negative terms, so a row can pass only
+/// if its magnitude term alone is below the cut; and `KcorrRow::i` rises
+/// with the row index ([`KcorrTable::generate`] asserts it), so that term
+/// falls and then rises along the table and the rows it admits are one
+/// contiguous window. Two binary searches on the magnitude term — the
+/// very expression the sum starts with, so the bound holds in floating
+/// point too: adding non-negative terms never rounds a sum below its first
+/// — find the window, and only rows inside it are evaluated.
 pub fn passing_redshifts(g: &Galaxy, kcorr: &KcorrTable, p: &BcgParams) -> Vec<PassingRedshift> {
-    kcorr
-        .rows()
+    let mag_den = p.mag_dispersion * p.mag_dispersion;
+    let gr_den = g.sigma_gr * g.sigma_gr + p.gr_pop_sigma * p.gr_pop_sigma;
+    let ri_den = g.sigma_ri * g.sigma_ri + p.ri_pop_sigma * p.ri_pop_sigma;
+    let mag_term = |k: &KcorrRow| {
+        let di = g.i - k.i;
+        di * di / mag_den
+    };
+    let rows = kcorr.rows();
+    // Brighter-than-the-galaxy rows whose magnitude term already fails are
+    // a prefix; rows up to the galaxy's magnitude plus the fainter ones
+    // whose magnitude term still passes are a prefix too.
+    let lo = rows.partition_point(|k| k.i < g.i && mag_term(k) >= p.chisq_cut);
+    let hi = rows.partition_point(|k| k.i <= g.i || mag_term(k) < p.chisq_cut);
+    rows[lo..hi]
         .iter()
         .filter_map(|k| {
-            let c = chisq(g, k, p);
+            let dgr = g.gr - k.gr;
+            let dri = g.ri - k.ri;
+            // The three divisions of `chisq`, bit for bit: a reciprocal
+            // multiply would move low bits, and catalogs with them.
+            let c = mag_term(k) + dgr * dgr / gr_den + dri * dri / ri_den;
             (c < p.chisq_cut).then_some(PassingRedshift { zid: k.zid, chisq: c })
         })
         .collect()
@@ -402,6 +427,101 @@ mod tests {
         // And the best chisq is at (or adjacent to) the true redshift.
         let best = passing.iter().min_by(|a, b| a.chisq.total_cmp(&b.chisq)).unwrap();
         assert!((t.row(best.zid).unwrap().z - 0.2).abs() < 0.005);
+    }
+
+    /// The filter as the paper's SQL states it: every row of the table.
+    fn exhaustive(g: &Galaxy, kcorr: &KcorrTable, p: &BcgParams) -> Vec<PassingRedshift> {
+        kcorr
+            .rows()
+            .iter()
+            .map(|k| PassingRedshift { zid: k.zid, chisq: chisq(g, k, p) })
+            .filter(|pr| pr.chisq < p.chisq_cut)
+            .collect()
+    }
+
+    /// `passing_redshifts` against the exhaustive loop, χ² compared as bits.
+    fn assert_window_is_exhaustive(g: &Galaxy, kcorr: &KcorrTable, p: &BcgParams) -> usize {
+        let bits = |v: Vec<PassingRedshift>| -> Vec<(u32, u64)> {
+            v.into_iter().map(|pr| (pr.zid, pr.chisq.to_bits())).collect()
+        };
+        let got = bits(passing_redshifts(g, kcorr, p));
+        assert_eq!(got, bits(exhaustive(g, kcorr, p)), "{g:?}");
+        got.len()
+    }
+
+    #[test]
+    fn windowed_filter_equals_the_exhaustive_loop_at_its_edges() {
+        let p = BcgParams::default();
+        // The magnitude term reaches the cut at |i - k.i| = 0.57 * sqrt(7).
+        let reach = p.mag_dispersion * p.chisq_cut.sqrt();
+        for t in [table(), KcorrTable::generate(KcorrConfig::tam())] {
+            let rows = t.rows();
+            let (first, last) = (rows[0], rows[rows.len() - 1]);
+            let mut passed = 0;
+            let mut check = |i: f64, k: &KcorrRow| {
+                // On the ridge in color, so the magnitude term decides.
+                let g = Galaxy::with_derived_errors(1, 180.0, 0.0, i, k.gr, k.ri);
+                passed += assert_window_is_exhaustive(&g, &t, &p);
+            };
+            for k in [first, rows[rows.len() / 3], rows[rows.len() / 2], last] {
+                // Exactly on a row, and with that row exactly on (and one
+                // ulp either side of) each edge of the window.
+                check(k.i, &k);
+                for edge in [k.i - reach, k.i + reach] {
+                    for i in [edge, next_up(edge), next_down(edge)] {
+                        check(i, &k);
+                    }
+                }
+            }
+            // Below the first row and above the last: inside reach, on the
+            // edge, and out of reach altogether.
+            for d in [0.5 * reach, reach, 1.5 * reach, 50.0] {
+                check(first.i - d, &first);
+                check(last.i + d, &last);
+            }
+            assert!(passed > 0, "some placement must pass somewhere");
+            // Values no row can match, and ones that are not numbers.
+            for i in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -1e300, 1e300] {
+                let g = Galaxy::with_derived_errors(1, 180.0, 0.0, i, first.gr, first.ri);
+                assert_eq!(assert_window_is_exhaustive(&g, &t, &p), 0);
+            }
+            let mut nan_color = ridge_galaxy(&t, 0.2, 1, 180.0, 0.0);
+            nan_color.gr = f64::NAN;
+            assert_eq!(assert_window_is_exhaustive(&nan_color, &t, &p), 0);
+        }
+    }
+
+    fn next_up(v: f64) -> f64 {
+        f64::from_bits(if v >= 0.0 { v.to_bits() + 1 } else { v.to_bits() - 1 })
+    }
+
+    fn next_down(v: f64) -> f64 {
+        -next_up(-v)
+    }
+
+    #[test]
+    fn windowed_filter_equals_the_exhaustive_loop_across_photometry() {
+        // A deterministic sweep over the photometric box a survey fills,
+        // at `real` precision like stored galaxies, under the default cut
+        // and under cuts loose and tight enough to move both edges.
+        let t = table();
+        let mut state = 0x2005_u64;
+        let mut unit = move || {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            (state >> 11) as f64 / (1u64 << 53) as f64
+        };
+        let mut passed = 0;
+        for n in 0..4000 {
+            let i = f64::from((13.0 + 9.0 * unit()) as f32);
+            let gr = f64::from((0.2 + 1.8 * unit()) as f32);
+            let ri = f64::from((0.1 + 1.1 * unit()) as f32);
+            let g = Galaxy::with_derived_errors(n, 180.0, 0.0, i, gr, ri);
+            for chisq_cut in [7.0, 0.3, 60.0] {
+                let p = BcgParams { chisq_cut, ..BcgParams::default() };
+                passed += assert_window_is_exhaustive(&g, &t, &p);
+            }
+        }
+        assert!(passed > 10_000, "the sweep must exercise passing rows, got {passed}");
     }
 
     #[test]

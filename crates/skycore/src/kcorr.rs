@@ -98,7 +98,8 @@ impl Default for KcorrConfig {
 }
 
 /// The generated k-correction table. Rows are stored in `zid` order
-/// (equivalently: increasing redshift).
+/// (equivalently: increasing redshift, and — [`KcorrTable::generate`]
+/// asserts it — strictly increasing BCG magnitude `i`).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct KcorrTable {
     config: KcorrConfig,
@@ -126,10 +127,11 @@ fn ridge_iz(z: f64) -> f64 {
 }
 
 impl KcorrTable {
-    /// Generate a table from `config`.
+    /// Generate a table from `config`. Panics on an empty grid, or on one
+    /// whose BCG magnitude `i` does not rise strictly with redshift.
     pub fn generate(config: KcorrConfig) -> Self {
         assert!(config.steps > 0 && config.z_step > 0.0, "empty k-correction grid");
-        let rows = (1..=config.steps)
+        let rows: Vec<KcorrRow> = (1..=config.steps)
             .map(|zid| {
                 let z = config.z_min + f64::from(zid - 1) * config.z_step;
                 let i = config.m_bcg
@@ -149,6 +151,11 @@ impl KcorrTable {
                 }
             })
             .collect();
+        // `bcg::passing_redshifts` binary-searches the magnitude column.
+        assert!(
+            rows.windows(2).all(|w| w[0].i < w[1].i),
+            "BCG magnitude must rise strictly with redshift across the grid"
+        );
         KcorrTable { config, rows }
     }
 

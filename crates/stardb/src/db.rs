@@ -1137,8 +1137,8 @@ impl Database {
     /// Clustered tables stream in key order, heaps in page order.
     ///
     /// `visit` runs while the engine holds the buffer-pool latch: it must
-    /// not call back into this database (materialize first, or buffer hits
-    /// and re-enter after the scan, as `maxbcg::neighbors` does).
+    /// not call back into this database (materialize first and re-enter
+    /// after the scan).
     pub fn scan_with(
         &self,
         name: &str,

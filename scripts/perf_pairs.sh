@@ -4,24 +4,29 @@
 # side runs first; a gain needs nine pairs in ten won and medians further
 # apart than the parent's own quartiles).
 #
-# Usage: scripts/perf_pairs.sh <parent-checkout> <change-checkout> <workload> [pairs=10]
+# Usage: scripts/perf_pairs.sh <parent-checkout> <change-checkout> <workload> [pairs=10] [trace=1]
 #
 # Builds each checkout's perfsuite offline into that checkout's own
 # perfsuite/target, runs pair i of both with seed 2005 + i, and reads only
 # the last stdout line of each run. Prints, per end-to-end metric and side,
 # the quartiles over the pairs and the pairs won (all four metrics are
 # lower-is-better; a tie goes to neither), then attempted/failed
-# operations. Exits 1 if any run did not report "correct": true.
+# operations. Then, unless the fifth argument is 0, one `--seed 2005
+# --trace 1` pass per side and every per-layer metric whose value differs
+# between the sides, as `name parent change ratio` — where the difference
+# came from. Counts repeat exactly; timings are one sample each. Exits 1 if
+# any run did not report "correct": true.
 set -eu
 
-if [ "$#" -lt 3 ] || [ "$#" -gt 4 ]; then
-  echo "usage: $0 <parent-checkout> <change-checkout> <workload> [pairs=10]" >&2
+if [ "$#" -lt 3 ] || [ "$#" -gt 5 ]; then
+  echo "usage: $0 <parent-checkout> <change-checkout> <workload> [pairs=10] [trace=1]" >&2
   exit 2
 fi
 parent=$(cd "$1" && pwd)
 change=$(cd "$2" && pwd)
 workload=$3
 pairs=${4:-10}
+trace=${5:-1}
 
 for side in "$parent" "$change"; do
   CARGO_TARGET_DIR="$side/perfsuite/target" \
@@ -49,6 +54,15 @@ while [ "$i" -lt "$pairs" ]; do
   i=$((i + 1))
 done
 
+: > traced
+if [ "$trace" != 0 ]; then
+  for side in parent change; do
+    if [ "$side" = parent ]; then bin=$parent_bin; else bin=$change_bin; fi
+    line=$("$bin" --workload "$workload" --seed 2005 --trace 1 | tail -n 1) || true
+    printf '%s %s\n' "$side" "$line" >> traced
+  done
+fi
+
 awk -v workload="$workload" -v pairs="$pairs" '
 # The number after `"name": ` or `"name": {"value": ` in a result line.
 function field(line, name,    s) {
@@ -72,6 +86,11 @@ function summarize(m, side,    n, i, j, t, v) {
   q1[side] = quantile(v, n, 0.25); q2[side] = quantile(v, n, 0.5); q3[side] = quantile(v, n, 0.75)
 }
 BEGIN { nm = split("setup_s peak_rss_mb op_p10_ms work_p10_s", metric, " ") }
+FILENAME == "traced" {
+  if (index($0, "\"correct\": true") == 0) wrong++
+  traced[$1] = $0
+  next
+}
 {
   side = $1
   n = ++runs[side]
@@ -99,5 +118,18 @@ END {
   }
   printf "attempted/failed: parent %d/%d, change %d/%d\n", \
     attempted["parent"], failed["parent"], attempted["change"], failed["change"]
+  if ("parent" in traced && "change" in traced) {
+    printf "traced, seed 2005: per-layer metrics that differ\n"
+    printf "%-44s %14s %14s %8s\n", "name", "parent", "change", "ratio"
+    rest = traced["parent"]
+    while (match(rest, /"[^"]+": \{"value": /)) {
+      name = substr(rest, RSTART + 1, RLENGTH - 14)
+      rest = substr(rest, RSTART + RLENGTH)
+      p = field(traced["parent"], name); c = field(traced["change"], name)
+      if (p == c) continue
+      if (p + 0 != 0) printf "%-44s %14.6g %14.6g %8.3f\n", name, p, c, c / p
+      else printf "%-44s %14.6g %14.6g %8s\n", name, p, c, "-"
+    }
+  }
   if (wrong) { printf "%d run(s) did not report \"correct\": true\n", wrong; exit 1 }
-}' runs
+}' runs traced

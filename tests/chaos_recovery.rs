@@ -201,13 +201,13 @@ fn stale_zone_snapshot_falls_back_identically_after_a_rezone() {
     let mut searched = 0;
     for g in sky.galaxies.iter().step_by(19) {
         let (mut via_stale, mut via_none) = (Vec::new(), Vec::new());
-        maxbcg::visit_nearby_with(db.db(), Some(&*stale), db.scheme(), g.ra, g.dec, 0.2, |o, d, _| {
-            via_stale.push((o, d.to_bits()));
+        maxbcg::visit_nearby_with(db.db(), Some(&*stale), db.scheme(), g.ra, g.dec, 0.2, |hit| {
+            via_stale.push((hit.objid, hit.distance.to_bits()));
             true
         })
         .unwrap();
-        maxbcg::visit_nearby_with(db.db(), None, db.scheme(), g.ra, g.dec, 0.2, |o, d, _| {
-            via_none.push((o, d.to_bits()));
+        maxbcg::visit_nearby_with(db.db(), None, db.scheme(), g.ra, g.dec, 0.2, |hit| {
+            via_none.push((hit.objid, hit.distance.to_bits()));
             true
         })
         .unwrap();
