@@ -407,6 +407,8 @@ mod tests {
         assert_eq!(one, brute_force_xmatch(&a, &b, &spec));
     }
 
+    /// The match runs as a zone join whose whole ON — both bands and the
+    /// dot-product cut — compiled to column kernels, striped or not.
     #[test]
     fn planner_runs_the_match_as_a_zone_join() {
         let scheme = ZoneScheme::with_height(0.1);
@@ -414,22 +416,25 @@ mod tests {
         let a: Vec<XmatchObj> = vec![(1, 10.0, 1.0)];
         let b: Vec<XmatchObj> = vec![(101, 10.01, 1.01)];
         let mut db = setup(&a, &b, &spec).unwrap();
-        let sql = format!("EXPLAIN {}", spec.sql("Survey1", "Survey2", None));
-        let (_, rows) = execute_with(&mut db, &sql, &PlanOptions::default())
-            .unwrap()
-            .rows()
-            .unwrap();
-        let plan: Vec<String> = rows
-            .into_iter()
-            .filter_map(|r| match r.0.into_iter().next() {
-                Some(Value::Text(s)) => Some(s),
-                _ => None,
-            })
-            .collect();
-        assert!(
-            plan.iter().any(|l| l.contains("zone join")),
-            "plan must show a zone join: {plan:#?}"
-        );
+        for stripe in [None, Some((900, 920))] {
+            let sql = format!("EXPLAIN {}", spec.sql("Survey1", "Survey2", stripe));
+            let (_, rows) = execute_with(&mut db, &sql, &PlanOptions::default())
+                .unwrap()
+                .rows()
+                .unwrap();
+            let plan: Vec<String> = rows
+                .into_iter()
+                .filter_map(|r| match r.0.into_iter().next() {
+                    Some(Value::Text(s)) => Some(s),
+                    _ => None,
+                })
+                .collect();
+            let zone_join = plan.iter().find(|l| l.contains("zone join"));
+            assert!(
+                zone_join.is_some_and(|l| l.ends_with("on compiled predicate")),
+                "plan must show a zone join with a compiled ON: {plan:#?}"
+            );
+        }
     }
 
     #[test]

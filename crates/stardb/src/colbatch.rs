@@ -31,17 +31,22 @@
 //! [`VPredicate`] compiles the planner's residual predicates into branch-
 //! light kernels over a tri-state truth vector (false / true / NULL —
 //! SQL's three-valued logic). Only shapes whose columnar evaluation is
-//! *provably identical* to row-at-a-time [`Expr::eval`] compile: numeric
-//! column vs. numeric constant comparisons (both sides go through the same
-//! `as f64` widening `Expr` uses), text column vs. text constant, BETWEEN
-//! with constant numeric bounds, IS NULL on a column, NOT/AND/OR over
-//! compiled operands. Everything else — arithmetic, column-to-column
-//! comparisons, scalar functions — falls back to evaluating the original
-//! expression on a reused scratch row, so results can never diverge from
-//! the row pipeline.
+//! *provably identical* to row-at-a-time [`Expr::eval`] compile: comparisons
+//! and BETWEEN over numeric operands, text column vs. text constant, IS
+//! NULL on a column, NOT/AND/OR over compiled operands. A numeric operand
+//! is a tree of numeric columns, numeric literals, `+ - * /`, `POWER` and
+//! the unary scalar functions: the interpreter widens every numeric operand
+//! to `f64` before it computes (it has no integer arithmetic) and yields
+//! NULL exactly when some column under the operator is NULL, so the same
+//! IEEE operations in the same order over `f64` vectors, under the union of
+//! the columns' null masks, give the same answer bit for bit. Everything
+//! else — a text operand or a non-numeric literal anywhere in an operand
+//! (whose type errors must surface), a comparison nested inside arithmetic
+//! — falls back to evaluating the original expression on a reused scratch
+//! row, so results can never diverge from the row pipeline.
 
 use crate::error::{DbError, DbResult};
-use crate::expr::{BinOp, Expr};
+use crate::expr::{BinOp, Expr, Func};
 use crate::key::{encode_value, next_field, KeyField};
 use crate::row::{self, Row};
 use crate::value::{DataType, Value};
@@ -92,7 +97,15 @@ impl NullMask {
         self.bits.iter().any(|&w| w != 0)
     }
 
+    /// `len` rows, none NULL.
+    fn zeros(len: usize) -> NullMask {
+        NullMask { bits: vec![0; len.div_ceil(64)], len }
+    }
+
     fn gather(&self, sel: &[u32]) -> NullMask {
+        if !self.any() {
+            return NullMask::zeros(sel.len());
+        }
         let mut out = NullMask::with_capacity(sel.len());
         for &i in sel {
             out.push(self.is_null(i as usize));
@@ -101,6 +114,12 @@ impl NullMask {
     }
 
     fn extend(&mut self, other: &NullMask) {
+        if !other.any() {
+            // No bit past `len` is ever set, so growing by zero words does.
+            self.len += other.len;
+            self.bits.resize(self.len.div_ceil(64), 0);
+            return;
+        }
         for i in 0..other.len {
             self.push(other.is_null(i));
         }
@@ -306,6 +325,31 @@ impl Column {
                 let s = &bytes[offsets[i] as usize..offsets[i + 1] as usize];
                 Value::Text(String::from_utf8(s.to_vec()).expect("validated on ingest"))
             }
+        }
+    }
+
+    /// The integer at row `i` (`None` for NULL and for any other type).
+    #[inline]
+    pub(crate) fn int_at(&self, i: usize) -> Option<i64> {
+        match &self.data {
+            _ if self.is_null(i) => None,
+            ColumnData::BigInt(v) => Some(v[i]),
+            ColumnData::Int(v) => Some(i64::from(v[i])),
+            _ => None,
+        }
+    }
+
+    /// The number at row `i`, widened as [`Value::as_f64`] widens it
+    /// (`None` for NULL and for text).
+    #[inline]
+    pub(crate) fn num_at(&self, i: usize) -> Option<f64> {
+        match &self.data {
+            _ if self.is_null(i) => None,
+            ColumnData::BigInt(v) => Some(v[i] as f64),
+            ColumnData::Int(v) => Some(f64::from(v[i])),
+            ColumnData::Real(v) => Some(f64::from(v[i])),
+            ColumnData::Float(v) => Some(v[i]),
+            ColumnData::Text { .. } | ColumnData::Absent(_) => None,
         }
     }
 
@@ -785,6 +829,11 @@ enum Kernel {
     CmpText { col: usize, op: CmpOp, lit: String },
     /// `col BETWEEN lo AND hi` with constant numeric bounds (inclusive).
     BetweenNum { col: usize, lo: f64, hi: f64 },
+    /// `a OP b` over numeric operand trees. `cols` are the columns under
+    /// either operand: the result is NULL where any of them is.
+    CmpExpr { a: Num, op: CmpOp, b: Num, cols: Vec<usize> },
+    /// `v BETWEEN lo AND hi` over numeric operand trees (inclusive).
+    BetweenExpr { v: Num, lo: Num, hi: Num, cols: Vec<usize> },
     /// `col IS NULL` (never yields NULL itself).
     IsNullCol { col: usize },
     /// A bare numeric column as a predicate (`truthy`: value != 0).
@@ -895,28 +944,40 @@ fn compile_kernel(pred: &Expr, dtypes: &[DataType]) -> Option<Kernel> {
         )),
         Expr::Bin(op, a, b) => {
             let op = CmpOp::of(*op)?;
-            let (col, lit, op) = match (a.as_ref(), b.as_ref()) {
-                (Expr::Col(c), Expr::Lit(v)) => (*c, v, op),
-                (Expr::Lit(v), Expr::Col(c)) => (*c, v, op.flip()),
-                _ => return None,
+            // Column against constant reads the typed buffer in place.
+            let leaf = match (a.as_ref(), b.as_ref()) {
+                (Expr::Col(c), Expr::Lit(v)) => Some((*c, v, op)),
+                (Expr::Lit(v), Expr::Col(c)) => Some((*c, v, op.flip())),
+                _ => None,
             };
-            match (dtypes.get(col)?, lit) {
-                (DataType::Text, Value::Text(s)) => {
-                    Some(Kernel::CmpText { col, op, lit: s.clone() })
-                }
-                (DataType::Text, _) => None,
-                _ => num_lit(lit).map(|lit| Kernel::CmpNum { col, op, lit }),
+            if let Some((col, lit, op)) = leaf {
+                return match (dtypes.get(col)?, lit) {
+                    (DataType::Text, Value::Text(s)) => {
+                        Some(Kernel::CmpText { col, op, lit: s.clone() })
+                    }
+                    (DataType::Text, _) => None,
+                    _ => num_lit(lit).map(|lit| Kernel::CmpNum { col, op, lit }),
+                };
             }
+            let mut cols = Vec::new();
+            let a = compile_num(a, dtypes, &mut cols)?;
+            let b = compile_num(b, dtypes, &mut cols)?;
+            Some(Kernel::CmpExpr { a, op, b, cols })
         }
         Expr::Between(v, lo, hi) => {
-            let (Expr::Col(c), Expr::Lit(lo), Expr::Lit(hi)) = (v.as_ref(), lo.as_ref(), hi.as_ref())
-            else {
-                return None;
-            };
-            if !numeric(dtypes, *c) {
-                return None;
+            if let (Expr::Col(c), Expr::Lit(lo), Expr::Lit(hi)) =
+                (v.as_ref(), lo.as_ref(), hi.as_ref())
+            {
+                if !numeric(dtypes, *c) {
+                    return None;
+                }
+                return Some(Kernel::BetweenNum { col: *c, lo: num_lit(lo)?, hi: num_lit(hi)? });
             }
-            Some(Kernel::BetweenNum { col: *c, lo: num_lit(lo)?, hi: num_lit(hi)? })
+            let mut cols = Vec::new();
+            let v = compile_num(v, dtypes, &mut cols)?;
+            let lo = compile_num(lo, dtypes, &mut cols)?;
+            let hi = compile_num(hi, dtypes, &mut cols)?;
+            Some(Kernel::BetweenExpr { v, lo, hi, cols })
         }
         Expr::IsNull(a) => match a.as_ref() {
             Expr::Col(c) if *c < dtypes.len() => Some(Kernel::IsNullCol { col: *c }),
@@ -925,6 +986,176 @@ fn compile_kernel(pred: &Expr, dtypes: &[DataType]) -> Option<Kernel> {
         Expr::Not(a) => Some(Kernel::Not(Box::new(compile_kernel(a, dtypes)?))),
         Expr::Col(c) if numeric(dtypes, *c) => Some(Kernel::TruthyCol { col: *c }),
         _ => None,
+    }
+}
+
+/// A numeric operand of a comparison kernel: what [`Expr::eval`] computes
+/// in `f64` whatever the column types, as a tree.
+#[derive(Debug, Clone)]
+enum Num {
+    Col(usize),
+    Lit(f64),
+    /// `+ - * /` (no other [`BinOp`] is built).
+    Arith(BinOp, Box<Num>, Box<Num>),
+    Power(Box<Num>, Box<Num>),
+    Call(Func, Box<Num>),
+}
+
+/// Compile a numeric operand, noting in `cols` every column under it.
+/// `None` for anything that is not arithmetic over numeric columns and
+/// numeric literals: a text column or literal (the interpreter's type
+/// error must surface), a NULL literal, a comparison or connective.
+fn compile_num(e: &Expr, dtypes: &[DataType], cols: &mut Vec<usize>) -> Option<Num> {
+    let mut sub = |e: &Expr| compile_num(e, dtypes, cols).map(Box::new);
+    Some(match e {
+        Expr::Col(c) if numeric(dtypes, *c) => {
+            if !cols.contains(c) {
+                cols.push(*c);
+            }
+            Num::Col(*c)
+        }
+        Expr::Lit(v) => Num::Lit(num_lit(v)?),
+        Expr::Bin(op @ (BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Div), a, b) => {
+            Num::Arith(*op, sub(a)?, sub(b)?)
+        }
+        Expr::Power(base, exp) => Num::Power(sub(base)?, sub(exp)?),
+        Expr::Call(f, a) => Num::Call(*f, sub(a)?),
+        _ => return None,
+    })
+}
+
+/// A numeric operand over one batch: one value per row, unless every row
+/// has the same.
+enum NumVal<'a> {
+    Const(f64),
+    /// A `float` column's own buffer.
+    Col(&'a [f64]),
+    Owned(Vec<f64>),
+}
+
+impl NumVal<'_> {
+    /// The per-row values, or the one value every row has.
+    fn view(&self) -> Result<&[f64], f64> {
+        match self {
+            NumVal::Const(x) => Err(*x),
+            NumVal::Col(v) => Ok(v),
+            NumVal::Owned(v) => Ok(v),
+        }
+    }
+}
+
+/// `f(&mut out[i], x[i], y[i])` for every row: one tight loop per operand
+/// shape, so a constant operand is a loop invariant.
+fn zip_rows<T>(x: &NumVal, y: &NumVal, out: &mut [T], f: impl Fn(&mut T, f64, f64)) {
+    match (x.view(), y.view()) {
+        (Ok(xs), Ok(ys)) => {
+            for ((t, &a), &b) in out.iter_mut().zip(xs).zip(ys) {
+                f(t, a, b);
+            }
+        }
+        (Ok(xs), Err(b)) => {
+            for (t, &a) in out.iter_mut().zip(xs) {
+                f(t, a, b);
+            }
+        }
+        (Err(a), Ok(ys)) => {
+            for (t, &b) in out.iter_mut().zip(ys) {
+                f(t, a, b);
+            }
+        }
+        (Err(a), Err(b)) => {
+            for t in out {
+                f(t, a, b);
+            }
+        }
+    }
+}
+
+/// `f(x[i], y[i])` for every row; constants fold.
+fn binary<'a>(
+    x: NumVal<'a>,
+    y: NumVal<'a>,
+    rows: usize,
+    f: impl Fn(f64, f64) -> f64,
+) -> NumVal<'a> {
+    if let (NumVal::Const(x), NumVal::Const(y)) = (&x, &y) {
+        return NumVal::Const(f(*x, *y));
+    }
+    let mut out = vec![0.0; rows];
+    zip_rows(&x, &y, &mut out, |t, a, b| *t = f(a, b));
+    NumVal::Owned(out)
+}
+
+/// `f(x[i])` for every row.
+fn unary(x: NumVal<'_>, f: impl Fn(f64) -> f64) -> NumVal<'_> {
+    match x {
+        NumVal::Const(x) => NumVal::Const(f(x)),
+        NumVal::Col(v) => NumVal::Owned(v.iter().map(|&x| f(x)).collect()),
+        NumVal::Owned(mut v) => {
+            v.iter_mut().for_each(|x| *x = f(*x));
+            NumVal::Owned(v)
+        }
+    }
+}
+
+impl Num {
+    /// Evaluate over every row of `batch`, NULL rows included: a NULL cell
+    /// holds a placeholder, `f64` arithmetic cannot trap, and the kernel
+    /// masks those rows afterwards ([`mask_nulls`]). Each arm applies the
+    /// operation `Expr::eval` applies, to the same widened operands.
+    fn eval<'a>(&self, batch: &'a ColumnBatch) -> NumVal<'a> {
+        let n = batch.len();
+        match self {
+            Num::Lit(x) => NumVal::Const(*x),
+            // The widenings of `Value::as_f64`.
+            Num::Col(c) => match &read_col(batch, *c).data {
+                ColumnData::Float(v) => NumVal::Col(v),
+                ColumnData::BigInt(v) => NumVal::Owned(v.iter().map(|&x| x as f64).collect()),
+                ColumnData::Int(v) => NumVal::Owned(v.iter().map(|&x| f64::from(x)).collect()),
+                ColumnData::Real(v) => NumVal::Owned(v.iter().map(|&x| f64::from(x)).collect()),
+                // Unreachable by compilation rules; `mask_nulls` makes
+                // every row NULL rather than panic.
+                ColumnData::Text { .. } | ColumnData::Absent(_) => NumVal::Const(0.0),
+            },
+            Num::Arith(op, a, b) => {
+                let (x, y) = (a.eval(batch), b.eval(batch));
+                match op {
+                    BinOp::Add => binary(x, y, n, |x, y| x + y),
+                    BinOp::Sub => binary(x, y, n, |x, y| x - y),
+                    BinOp::Mul => binary(x, y, n, |x, y| x * y),
+                    _ => binary(x, y, n, |x, y| x / y),
+                }
+            }
+            Num::Power(base, exp) => binary(base.eval(batch), exp.eval(batch), n, f64::powf),
+            Num::Call(func, a) => {
+                let x = a.eval(batch);
+                match func {
+                    Func::Abs => unary(x, f64::abs),
+                    Func::Log => unary(x, f64::ln),
+                    Func::Floor => unary(x, f64::floor),
+                    Func::Sqrt => unary(x, f64::sqrt),
+                }
+            }
+        }
+    }
+}
+
+/// Make `out` NULL on every row where one of `cols` is NULL: the rule of
+/// every numeric operator, applied once for the whole operand tree.
+fn mask_nulls(batch: &ColumnBatch, cols: &[usize], out: &mut [u8]) {
+    for &c in cols {
+        let col = batch.col(c);
+        if col.is_absent() {
+            out.fill(T_NULL);
+            continue;
+        }
+        for (w, &word) in col.nulls.bits.iter().enumerate() {
+            let mut rest = word;
+            while rest != 0 {
+                out[w * 64 + rest.trailing_zeros() as usize] = T_NULL;
+                rest &= rest - 1;
+            }
+        }
     }
 }
 
@@ -959,6 +1190,17 @@ impl Kernel {
             }
             Kernel::BetweenNum { col, lo, hi } => {
                 between_kernel(read_col(batch, *col), *lo, *hi, out);
+            }
+            Kernel::CmpExpr { a, op, b, cols } => {
+                let (x, y, op) = (a.eval(batch), b.eval(batch), *op);
+                zip_rows(&x, &y, out, |t, x, y| *t = op.apply_f64(x, y) as u8);
+                mask_nulls(batch, cols, out);
+            }
+            Kernel::BetweenExpr { v, lo, hi, cols } => {
+                let (x, lo, hi) = (v.eval(batch), lo.eval(batch), hi.eval(batch));
+                zip_rows(&x, &lo, out, |t, x, lo| *t = (x >= lo) as u8);
+                zip_rows(&x, &hi, out, |t, x, hi| *t &= (x <= hi) as u8);
+                mask_nulls(batch, cols, out);
             }
             Kernel::IsNullCol { col } => {
                 let c = read_col(batch, *col);
@@ -1435,14 +1677,145 @@ mod tests {
     }
 
     #[test]
-    fn arithmetic_predicates_fall_back() {
+    fn arithmetic_predicates_compile() {
         let dt = vec![DataType::Float];
         let pred = Expr::Col(0).bin(BinOp::Add, Expr::lit(1.0)).bin(BinOp::Gt, Expr::lit(3.0));
         let vp = VPredicate::compile(&pred, &dt);
-        assert!(!vp.is_compiled());
+        assert!(vp.is_compiled());
         let rows = vec![Row(vec![Value::Float(1.0)]), Row(vec![Value::Float(5.0)])];
         let batch = ColumnBatch::from_rows(&dt, &rows).unwrap();
         assert_eq!(vp.select(&batch).unwrap(), vec![1]);
+    }
+
+    /// A 64-bit LCG: the differential test's only source of variety.
+    fn lcg(mut state: u64) -> impl FnMut() -> usize {
+        move || {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            (state >> 33) as usize
+        }
+    }
+
+    /// A numeric operand tree over columns 0..4 of [`dtypes`]. `poison`
+    /// plants, at the first leaf drawn, what the kernels must refuse: the
+    /// text column or a NULL literal.
+    fn num_tree(next: &mut impl FnMut() -> usize, depth: usize, poison: &mut Option<Expr>) -> Expr {
+        let mut sub = |next: &mut _| Box::new(num_tree(next, depth - 1, poison));
+        match if depth == 0 { next() % 2 } else { next() % 9 } {
+            0 => poison.take().unwrap_or(Expr::Col(next() % 4)),
+            1 => poison.take().unwrap_or(Expr::Lit(
+                [
+                    Value::Float(0.0),
+                    Value::Float(-0.0),
+                    Value::Float(0.5),
+                    Value::Float(-3.0),
+                    Value::Float(f64::INFINITY),
+                    Value::Real(0.1),
+                    Value::Int(2),
+                    Value::BigInt(-1),
+                    Value::BigInt((1 << 53) + 1),
+                ][next() % 9]
+                    .clone(),
+            )),
+            op @ 2..=5 => {
+                let op = [BinOp::Add, BinOp::Sub, BinOp::Mul, BinOp::Div][op - 2];
+                Expr::Bin(op, sub(next), sub(next))
+            }
+            6 => Expr::Power(sub(next), sub(next)),
+            _ => {
+                let f = [Func::Abs, Func::Log, Func::Floor, Func::Sqrt][next() % 4];
+                Expr::Call(f, sub(next))
+            }
+        }
+    }
+
+    /// Comparisons and BETWEENs over [`num_tree`]s, under NOT / AND / OR.
+    fn num_pred(next: &mut impl FnMut() -> usize, depth: usize, poison: &mut Option<Expr>) -> Expr {
+        let cmp = [BinOp::Lt, BinOp::Le, BinOp::Gt, BinOp::Ge, BinOp::Eq, BinOp::Ne];
+        let mut num = |next: &mut _| num_tree(next, 3, poison);
+        match if depth == 0 { next() % 2 } else { next() % 5 } {
+            0 => num(next).bin(cmp[next() % 6], num(next)),
+            1 => num(next).between(num(next), num(next)),
+            2 => Expr::Not(Box::new(num_pred(next, depth - 1, poison))),
+            3 => num_pred(next, depth - 1, poison).and(num_pred(next, depth - 1, poison)),
+            _ => num_pred(next, depth - 1, poison)
+                .bin(BinOp::Or, num_pred(next, depth - 1, poison)),
+        }
+    }
+
+    /// Rows crossing what `f64` arithmetic treats specially, over all four
+    /// numeric types: NULL, NaN, signed zeros and infinities, the integer
+    /// extremes, `i64`s no `f64` holds, a `REAL` whose widening is not its
+    /// decimal, and operands that divide by zero or leave `LOG`/`SQRT`'s
+    /// domain.
+    fn edge_rows(next: &mut impl FnMut() -> usize, n: usize) -> Vec<Row> {
+        let big = [i64::MAX, i64::MIN, (1 << 53) + 1, -(1 << 53) - 1, 0, 1, -1, 7];
+        let int = [i32::MAX, i32::MIN, 0, 1, -1, -4, 9, 100];
+        let real = [0.0, -0.0, 0.1, f32::NAN, f32::INFINITY, f32::NEG_INFINITY, f32::MAX, -2.5];
+        let float = [0.0, -0.0, 0.1, f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 1e308, -4.0];
+        (0..n)
+            .map(|_| {
+                let cell = |draw: usize, v: Value| if draw % 7 == 0 { Value::Null } else { v };
+                Row(vec![
+                    cell(next(), Value::BigInt(big[next() % 8])),
+                    cell(next(), Value::Int(int[next() % 8])),
+                    cell(next(), Value::Real(real[next() % 8])),
+                    cell(next(), Value::Float(float[next() % 8])),
+                    cell(next(), Value::Text(["", "a", "7"][next() % 3].into())),
+                ])
+            })
+            .collect()
+    }
+
+    /// What evaluating `pred` row by row selects, or the first error.
+    fn interpreted(pred: &Expr, rows: &[Row]) -> DbResult<Vec<u32>> {
+        let mut sel = Vec::new();
+        for (i, row) in rows.iter().enumerate() {
+            if pred.matches(row)? {
+                sel.push(i as u32);
+            }
+        }
+        Ok(sel)
+    }
+
+    /// The numeric kernels are the interpreter: every generated predicate
+    /// compiles, and selects exactly the rows `Expr::matches` accepts.
+    #[test]
+    fn numeric_kernels_select_what_the_interpreter_selects() {
+        let mut next = lcg(2005);
+        let rows = edge_rows(&mut next, 150);
+        let batch = ColumnBatch::from_rows(&dtypes(), &rows).unwrap();
+        let mut selected = 0;
+        for _ in 0..400 {
+            let pred = num_pred(&mut next, 2, &mut None);
+            let vp = VPredicate::compile(&pred, &dtypes());
+            assert!(vp.is_compiled(), "{pred:?}");
+            let got = vp.select(&batch).unwrap();
+            assert_eq!(got, interpreted(&pred, &rows).unwrap(), "{pred:?}");
+            selected += got.len();
+        }
+        assert!(selected > 1000, "the corpus selects rows: {selected}");
+    }
+
+    /// A text column or a NULL literal anywhere in an operand keeps the
+    /// whole predicate on the interpreter, type errors included.
+    #[test]
+    fn non_numeric_operands_keep_the_interpreter_and_its_errors() {
+        let mut next = lcg(1806);
+        let rows = edge_rows(&mut next, 40);
+        let batch = ColumnBatch::from_rows(&dtypes(), &rows).unwrap();
+        let mut errors = 0;
+        for case in 0..200 {
+            let mut poison =
+                Some(if case % 2 == 0 { Expr::Col(4) } else { Expr::Lit(Value::Null) });
+            let pred = num_pred(&mut next, 2, &mut poison);
+            assert!(poison.is_none(), "every predicate has a leaf");
+            let vp = VPredicate::compile(&pred, &dtypes());
+            assert!(!vp.is_compiled(), "{pred:?}");
+            let want = interpreted(&pred, &rows);
+            errors += usize::from(want.is_err());
+            assert_eq!(vp.select(&batch), want, "{pred:?}");
+        }
+        assert!(errors > 20, "arithmetic on text is a type error: {errors}");
     }
 
     #[test]

@@ -445,11 +445,12 @@ pub struct Database {
     /// unprofiled SELECT. Interior mutability because SELECTs run through
     /// `&Database`.
     last_profile: parking_lot::Mutex<Option<crate::sql::QueryProfile>>,
-    /// Zone maps built from full unfiltered scans, one per table, keyed by
-    /// [`Database::table_version`] epochs — stale maps are dropped on
+    /// Zone-join build sides (the drained rows and the map over them)
+    /// from full unfiltered scans, one per table, keyed by
+    /// [`Database::table_version`] epochs — stale ones are dropped on
     /// lookup, so writers never invalidate explicitly. Interior mutability
     /// because SELECTs run through `&Database`.
-    zonemaps: parking_lot::Mutex<HashMap<String, Arc<crate::zonemap::ZoneMap>>>,
+    zone_builds: parking_lot::Mutex<HashMap<String, Arc<crate::zonemap::ZoneBuild>>>,
 }
 
 /// Wall time of non-trivial commits (WAL append + fsync for durable
@@ -482,7 +483,7 @@ impl Database {
             catalog_dirty: false,
             last_catalog: Vec::new(),
             last_profile: parking_lot::Mutex::new(None),
-            zonemaps: parking_lot::Mutex::new(HashMap::new()),
+            zone_builds: parking_lot::Mutex::new(HashMap::new()),
         }
     }
 
@@ -518,7 +519,7 @@ impl Database {
             catalog_dirty: false,
             last_catalog: Vec::new(),
             last_profile: parking_lot::Mutex::new(None),
-            zonemaps: parking_lot::Mutex::new(HashMap::new()),
+            zone_builds: parking_lot::Mutex::new(HashMap::new()),
         };
         if let Some(bytes) = recovery.catalog {
             db.decode_catalog(&bytes)?;
@@ -865,6 +866,7 @@ impl Database {
             .remove(&key)
             .map(|_| {
                 self.dirty_tables.remove(&key);
+                self.zone_builds.get_mut().remove(&key);
                 self.catalog_dirty = true;
             })
             .ok_or_else(|| DbError::NoSuchTable(name.to_owned()))
@@ -967,28 +969,30 @@ impl Database {
         })
     }
 
-    /// The cached zone map for `table` at version `epoch`, if one is held.
-    /// A map built at any other version is stale: it is dropped from the
-    /// cache and `None` returned, so callers rebuild and re-store.
-    pub(crate) fn cached_zonemap(
+    /// The cached zone-join build side of `table` at version `epoch`, if
+    /// one is held. One built at any other version is stale: it is dropped
+    /// from the cache and `None` returned, so callers rebuild and re-store.
+    pub(crate) fn cached_zone_build(
         &self,
         table: &str,
         epoch: u64,
-    ) -> Option<Arc<crate::zonemap::ZoneMap>> {
-        let mut maps = self.zonemaps.lock();
-        match maps.get(table) {
-            Some(m) if m.epoch() == epoch => Some(m.clone()),
+    ) -> Option<Arc<crate::zonemap::ZoneBuild>> {
+        let mut builds = self.zone_builds.lock();
+        let key = Self::norm(table);
+        match builds.get(&key) {
+            Some(b) if b.map.epoch() == epoch => Some(b.clone()),
             Some(_) => {
-                maps.remove(table);
+                builds.remove(&key);
                 None
             }
             None => None,
         }
     }
 
-    /// Cache a zone map built from a full unfiltered scan of `table`.
-    pub(crate) fn store_zonemap(&self, table: &str, map: Arc<crate::zonemap::ZoneMap>) {
-        self.zonemaps.lock().insert(table.to_string(), map);
+    /// Cache a zone-join build side drained by a full unfiltered scan of
+    /// `table`, in place of any the table had.
+    pub(crate) fn store_zone_build(&self, table: &str, build: Arc<crate::zonemap::ZoneBuild>) {
+        self.zone_builds.lock().insert(Self::norm(table), build);
     }
 
     /// Row count.

@@ -4,10 +4,11 @@
 //! `Some(rows)` (possibly empty — more may follow) while input remains and
 //! `None` once exhausted. Batches are at most [`BATCH`] rows, so a plan
 //! holds one batch per pipeline stage instead of materializing every
-//! intermediate `Vec<Row>` — only the blocking operators (hash-join build
-//! side, nested-loop inner side, aggregate, sort) buffer, and `LIMIT`
-//! without a sort stops pulling (and therefore stops scanning) as soon as
-//! it is satisfied.
+//! intermediate `Vec<Row>` — only the blocking operators (a join's inner
+//! side, aggregate, sort) buffer, and `LIMIT` without a sort stops pulling
+//! (and therefore stops scanning) as soon as it is satisfied. A join drains
+//! its inner side when its outer side hands it the first row, so a join
+//! whose outer side is empty never opens its inner scan.
 //!
 //! The executor also maintains the planner's observability counters:
 //! `stardb.plan.index_scans` / `stardb.plan.full_scans` (one per opened
@@ -35,15 +36,17 @@
 //! cannot drift from it. The unprofiled [`run`] path carries the same
 //! structs but never reads the clock and never allocates a profile.
 
-use super::plan::{Access, JoinStrategy, OutputShape, ScanNode, SelectPlan, Slot, ZoneJoinSpec};
-use crate::colbatch::{ColumnBatch, ColumnHashTable, VPredicate};
+use super::plan::{
+    Access, JoinNode, JoinStrategy, OutputShape, ScanNode, SelectPlan, Slot, ZoneJoinSpec,
+};
+use crate::colbatch::{Column, ColumnBatch, ColumnHashTable, VPredicate};
 use crate::db::{BatchScan, Database, IndexScan};
 use crate::error::DbResult;
 use crate::exec::{self, GroupState, TopN};
 use crate::expr::Expr;
 use crate::row::Row;
 use crate::value::{DataType, Value};
-use crate::zonemap::ZoneMap;
+use crate::zonemap::{ZoneBuild, ZoneMap};
 use std::collections::HashSet;
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
@@ -230,11 +233,16 @@ pub(crate) fn fmt_ns(ns: u64) -> String {
 pub struct JoinProfile {
     /// Hash join (vs nested-loop / cross)?
     pub hashed: bool,
-    /// The join operator (probe side for hash joins).
+    /// The join operator (probe side for hash joins). Its time includes
+    /// `build`'s: the join drains its right side inside the pull that
+    /// brings its first left row.
     pub join: OpProfile,
-    /// The right-side scan, drained eagerly when the operator tree is
-    /// built (its time is the build-side drain, not probe time).
+    /// The right-side scan, drained when the first left row arrives — all
+    /// zero when none did. For a build side served from the zone-join
+    /// cache (`build_cached`) only `rows` is set: no scan ran.
     pub build: OpProfile,
+    /// The build side came from the per-table zone-join cache.
+    pub build_cached: bool,
     /// Residual predicate applied to concatenated rows after the join.
     pub post: Option<OpProfile>,
 }
@@ -263,8 +271,8 @@ pub struct PlanProfile {
     pub sort: Option<OpProfile>,
     /// The standalone LIMIT operator (absent when top-N subsumes it).
     pub limit: Option<OpProfile>,
-    /// Wall time of the whole run: building the operator tree (including
-    /// eager build-side drains) plus pulling every batch.
+    /// Wall time of the whole run: building the operator tree plus pulling
+    /// every batch (build-side drains happen inside the pulls).
     pub wall_ns: u64,
     /// Rows the query returned.
     pub rows_out: u64,
@@ -302,7 +310,7 @@ impl Tally {
 
 /// Run a plan to completion and collect its output rows.
 pub(crate) fn run(db: &Database, plan: &SelectPlan) -> DbResult<Vec<Row>> {
-    let mut op = build(db, plan, false)?;
+    let mut op = build(db, plan)?;
     let mut out = Vec::new();
     while let Some(batch) = op.next_batch(db, false)? {
         out.extend(batch);
@@ -315,7 +323,7 @@ pub(crate) fn run(db: &Database, plan: &SelectPlan) -> DbResult<Vec<Row>> {
 /// profile into the `stardb.op.*` counters (when telemetry is enabled).
 pub(crate) fn run_profiled(db: &Database, plan: &SelectPlan) -> DbResult<(Vec<Row>, PlanProfile)> {
     let t0 = Instant::now();
-    let mut op = build(db, plan, true)?;
+    let mut op = build(db, plan)?;
     let mut out = Vec::new();
     while let Some(batch) = op.next_batch(db, true)? {
         out.extend(batch);
@@ -334,12 +342,12 @@ pub(crate) fn run_profiled(db: &Database, plan: &SelectPlan) -> DbResult<(Vec<Ro
 /// shape) operators exchange column-major [`ColumnBatch`]es; everything
 /// above it (DISTINCT, sort, top-N, LIMIT, hidden-column cut) operates on
 /// materialized rows.
-fn build<'p>(db: &Database, plan: &'p SelectPlan, profiled: bool) -> DbResult<Op<'p>> {
+fn build<'p>(db: &Database, plan: &'p SelectPlan) -> DbResult<Op<'p>> {
     let hidden_cut = match &plan.shape {
         OutputShape::Plain { hidden, .. } => *hidden,
         OutputShape::Aggregate { .. } => 0,
     };
-    let mut op = build_vectorized(db, plan, profiled)?;
+    let mut op = build_vectorized(db, plan)?;
     if plan.distinct {
         op = Op::Distinct(DistinctExec {
             input: Box::new(op),
@@ -386,53 +394,22 @@ fn build<'p>(db: &Database, plan: &'p SelectPlan, profiled: bool) -> DbResult<Op
 /// compiled per-column kernels producing selection vectors, joins build
 /// output batches by columnwise gather, and rows are materialized only by
 /// the boundary operator ([`VProjectExec`] / [`VAggregateExec`]) this
-/// function returns.
-fn build_vectorized<'p>(db: &Database, plan: &'p SelectPlan, profiled: bool) -> DbResult<Op<'p>> {
+/// function returns. No inner side is read here: each join drains its own
+/// when its first left row arrives ([`VJoinExec::next_batch`]).
+fn build_vectorized<'p>(db: &Database, plan: &'p SelectPlan) -> DbResult<Op<'p>> {
     // Concatenated column types grow join by join; residual predicates
     // compile against the layout at their point in the pipeline.
     let mut dtypes = table_dtypes(db, &plan.scan.table)?;
-    let mut vop = VOp::Scan(VScanExec::open(db, &plan.scan)?);
+    let mut vop = VOp::Scan(VScanExec::open(db, &plan.scan, &plan.scan.needed)?);
     for join in &plan.joins {
-        let right_scan = VScanExec::open(db, &join.right)?;
-        let right_dtypes = right_scan.dtypes.clone();
-        let (right, build_prof) = drain_columns(db, right_scan, &join.right.needed, profiled)?;
-        let side = match &join.strategy {
-            JoinStrategy::Hash { left_col, right_col } => {
-                exec::join_pairs().add(right.len() as u64);
-                VRightSide::Hash {
-                    table: ColumnHashTable::build(right, *right_col)?,
-                    left_col: *left_col,
-                }
-            }
-            JoinStrategy::NestedLoop { on } => VRightSide::Loop {
-                // The ON expression is arbitrary, so it evaluates on
-                // materialized pair rows — the inner side is small and
-                // materialized once, while output batches still assemble
-                // by columnwise gather.
-                rows: right.to_rows(),
-                batch: right,
-                on: Some((*on).clone()),
-            },
-            JoinStrategy::Zone { spec, on } => {
-                let map = zone_map_for(db, &join.right, spec, |epoch| {
-                    ZoneMap::from_batch(&right, spec.right_zone, spec.right_ra, epoch)
-                })?;
-                VRightSide::Zone {
-                    rows: right.to_rows(),
-                    batch: right,
-                    map,
-                    spec: spec.clone(),
-                    on: (*on).clone(),
-                }
-            }
-            JoinStrategy::Cross => VRightSide::Loop { rows: Vec::new(), batch: right, on: None },
-        };
-        dtypes.extend(right_dtypes);
+        dtypes.extend(table_dtypes(db, &join.right.table)?);
         vop = VOp::Join(VJoinExec {
             left: Box::new(vop),
-            side,
+            node: join,
+            side: None,
             tally: Tally::default(),
-            build: build_prof,
+            build: OpProfile::default(),
+            build_cached: false,
             pairs: 0,
             probes: 0,
             matched: 0,
@@ -478,14 +455,15 @@ fn table_dtypes(db: &Database, table: &str) -> DbResult<Vec<DataType>> {
     Ok(db.schema_of(table)?.columns().iter().map(|c| c.dtype).collect())
 }
 
-/// Drain a vectorized scan to completion into one column-major batch
-/// (join build sides), timing it when profiled.
+/// Open a scan of `node` reading `needed` and drain it to completion into
+/// one column-major batch (join build sides), timing it when profiled.
 fn drain_columns(
     db: &Database,
-    mut scan: VScanExec,
+    node: &ScanNode,
     needed: &[bool],
     profiled: bool,
 ) -> DbResult<(ColumnBatch, OpProfile)> {
+    let mut scan = VScanExec::open(db, node, needed)?;
     let mut out = ColumnBatch::with_projection(&scan.dtypes, needed, 0);
     loop {
         let t0 = profiled.then(Instant::now);
@@ -508,56 +486,96 @@ fn drain_columns(
     Ok((out, prof))
 }
 
-/// Resolve the zone map for a join build side: served from the
-/// per-database cache when the build side is a full unfiltered table scan
-/// (any other access path or pushed predicate reorders or thins the
-/// drained rows, so its ordinals would not transfer) at a still-current
-/// `table_version`, rebuilt — and re-cached when eligible — otherwise.
-/// Either way the map's ordinals index the drained build rows in scan
-/// order.
-fn zone_map_for(
+/// The inner side of a join, read when the join's first left row arrives:
+/// drained from its scan, or — a zone join's — fetched from the cache.
+/// Returns it with the profile of the scan and whether the cache served it.
+fn build_side<'p>(
+    db: &Database,
+    node: &'p JoinNode,
+    profiled: bool,
+) -> DbResult<(VRightSide<'p>, OpProfile, bool)> {
+    let drain = || drain_columns(db, &node.right, &node.right.needed, profiled);
+    Ok(match &node.strategy {
+        JoinStrategy::Hash { left_col, right_col } => {
+            let (right, prof) = drain()?;
+            exec::join_pairs().add(right.len() as u64);
+            let table = ColumnHashTable::build(right, *right_col)?;
+            (VRightSide::Hash { table, left_col: *left_col }, prof, false)
+        }
+        JoinStrategy::NestedLoop { on } => {
+            let (right, prof) = drain()?;
+            // The ON expression is arbitrary, so it evaluates on
+            // materialized pair rows — the inner side is small and
+            // materialized once, while output batches still assemble
+            // by columnwise gather.
+            (VRightSide::Loop { rows: right.to_rows(), batch: right, on: Some(on) }, prof, false)
+        }
+        JoinStrategy::Zone { spec, on } => {
+            let (build, prof, cached) = zone_build_for(db, &node.right, spec, profiled)?;
+            (VRightSide::Zone { build, spec, on }, prof, cached)
+        }
+        JoinStrategy::Cross => {
+            let (right, prof) = drain()?;
+            (VRightSide::Loop { rows: Vec::new(), batch: right, on: None }, prof, false)
+        }
+    })
+}
+
+/// Resolve a zone join's build side — the drained rows and the map over
+/// them. It is served from the per-database cache when the build side is a
+/// full unfiltered table scan (any other access path or pushed predicate
+/// reorders or thins the drained rows, so neither they nor their ordinals
+/// would transfer), the entry was built at the still-current
+/// `table_version` over the same key columns, and it holds every column
+/// this statement reads. Otherwise the side is drained and indexed — and,
+/// when eligible, cached in the entry's place, keeping the columns the
+/// entry held so statements that read different columns of one table
+/// settle on one entry instead of evicting each other's.
+fn zone_build_for(
     db: &Database,
     node: &ScanNode,
     spec: &ZoneJoinSpec,
-    build: impl FnOnce(u64) -> ZoneMap,
-) -> DbResult<Arc<ZoneMap>> {
+    profiled: bool,
+) -> DbResult<(Arc<ZoneBuild>, OpProfile, bool)> {
     zonejoin_counters(); // register the family even if adds stay zero
     let epoch = db.table_version(&node.table)?;
     let cacheable = matches!(node.access, Access::Full) && node.pred.is_none();
-    if cacheable {
-        if let Some(m) = db.cached_zonemap(&node.table, epoch) {
-            if m.key_cols() == (spec.right_zone, spec.right_ra) {
-                return Ok(m);
-            }
+    let mut needed = node.needed.clone();
+    if let Some(held) = cacheable.then(|| db.cached_zone_build(&node.table, epoch)).flatten() {
+        let holds = |c: usize| !held.batch.col(c).is_absent();
+        if held.map.key_cols() == (spec.right_zone, spec.right_ra)
+            && (0..needed.len()).all(|c| !needed[c] || holds(c))
+        {
+            let prof = OpProfile { rows: held.batch.len() as u64, ..OpProfile::default() };
+            return Ok((held, prof, true));
+        }
+        for (c, read) in needed.iter_mut().enumerate() {
+            *read |= holds(c);
         }
     }
-    let m = Arc::new(build(epoch));
+    let (batch, prof) = drain_columns(db, node, &needed, profiled)?;
+    let map = ZoneMap::from_batch(&batch, spec.right_zone, spec.right_ra, epoch);
+    let build = Arc::new(ZoneBuild { map, batch });
     if cacheable {
-        db.store_zonemap(&node.table, m.clone());
+        db.store_zone_build(&node.table, build.clone());
     }
-    Ok(m)
+    Ok((build, prof, false))
 }
 
-/// The probe window one left row opens in the zone map: the zone band
+/// The probe window left row `i` opens in the zone map: the zone band
 /// `[zone - Δz, zone + Δz]` widened outward to cover f64 rounding (the
 /// evaluator compares in f64, and the candidate set may only ever be
 /// generous — the re-evaluated conjunction is exact), plus the RA window
 /// `[ra - w, ra + w]` computed exactly as the evaluator computes it.
 /// `None` when either key is NULL or non-numeric: such a row fails the
 /// BETWEEN outright and probes nothing.
-fn zone_probe_bounds(zone: &Value, ra: &Value, spec: &ZoneJoinSpec) -> Option<(i64, i64, f64, f64)> {
-    let lz = match zone {
-        Value::Int(i) => i64::from(*i),
-        Value::BigInt(i) => *i,
-        _ => return None,
-    };
-    let lr = match ra {
-        Value::Float(f) => *f,
-        Value::Real(f) => f64::from(*f),
-        Value::Int(i) => f64::from(*i),
-        Value::BigInt(i) => *i as f64,
-        _ => return None,
-    };
+fn zone_probe_bounds(
+    zone: &Column,
+    ra: &Column,
+    i: usize,
+    spec: &ZoneJoinSpec,
+) -> Option<(i64, i64, f64, f64)> {
+    let (lz, lr) = (zone.int_at(i)?, ra.num_at(i)?);
     let lo_f = lz as f64 - spec.dz as f64;
     let hi_f = lz as f64 + spec.dz as f64;
     let zlo = if lo_f <= i64::MIN as f64 { i64::MIN } else { lo_f.floor() as i64 };
@@ -624,7 +642,7 @@ fn collect(root: Op<'_>, plan: &SelectPlan) -> PlanProfile {
 /// [`collect`]'s continuation for the column-batch chain below the
 /// materialization boundary: filter → joins in reverse → scan, each into
 /// the profile slot `render_analyze` reads for that plan node.
-fn collect_vchain(root: VOp, plan: &SelectPlan, prof: &mut PlanProfile) {
+fn collect_vchain(root: VOp<'_>, plan: &SelectPlan, prof: &mut PlanProfile) {
     let mut op = root;
     if plan.filter.is_some() {
         op = match op {
@@ -649,16 +667,17 @@ fn collect_vchain(root: VOp, plan: &SelectPlan, prof: &mut PlanProfile) {
         }
         op = match op {
             VOp::Join(x) => {
-                jp.hashed = matches!(x.side, VRightSide::Hash { .. });
+                jp.hashed = matches!(node.strategy, JoinStrategy::Hash { .. });
                 let extras = if jp.hashed {
                     vec![("build_rows", x.build.rows), ("probe_hits", x.tally.rows)]
-                } else if matches!(x.side, VRightSide::Zone { .. }) {
+                } else if matches!(node.strategy, JoinStrategy::Zone { .. }) {
                     vec![("probes", x.probes), ("pairs", x.pairs), ("matched", x.matched)]
                 } else {
                     vec![("pairs", x.pairs)]
                 };
                 jp.join = x.tally.with(extras);
                 jp.build = x.build;
+                jp.build_cached = x.build_cached;
                 *x.left
             }
             o => o,
@@ -685,12 +704,16 @@ fn record_op_counters(prof: &PlanProfile) {
     // `prev` is the inclusive time of the node feeding the current one.
     let mut prev = prof.scan.time_ns;
     for j in &prof.joins {
-        // Build-side drains are leaf scans in their own right.
-        c.scan_rows.add(j.build.rows);
-        c.scan_ns.add(j.build.time_ns);
+        // Build-side drains are leaf scans in their own right (one served
+        // from the cache scanned nothing), and run inside the join's first
+        // pull: the join's own time is what is left without them.
+        if !j.build_cached {
+            c.scan_rows.add(j.build.rows);
+            c.scan_ns.add(j.build.time_ns);
+        }
         if j.hashed {
             c.hash_join_rows.add(j.join.rows);
-            c.hash_join_ns.add(j.join.time_ns.saturating_sub(prev));
+            c.hash_join_ns.add(j.join.time_ns.saturating_sub(prev + j.build.time_ns));
         }
         prev = j.join.time_ns;
         if let Some(post) = &j.post {
@@ -908,15 +931,16 @@ impl CutExec<'_> {
 // `ColumnBatch`es: scans decode pages straight into typed buffers,
 // predicates are compiled kernels producing selection vectors, joins
 // assemble output batches by columnwise gather. The chain owns its
-// predicates (compiled once at build), so it carries no plan lifetime.
+// predicates (compiled once at build); a join borrows its plan node, to
+// read its inner side when the first left row arrives.
 
-enum VOp {
+enum VOp<'p> {
     Scan(VScanExec),
-    Join(VJoinExec),
-    Filter(VFilterExec),
+    Join(VJoinExec<'p>),
+    Filter(VFilterExec<'p>),
 }
 
-impl VOp {
+impl VOp<'_> {
     /// Pull the next column-major batch, timing the dispatch when
     /// profiled — the mirror of [`Op::next_batch`].
     fn next_batch(&mut self, db: &Database, profiled: bool) -> DbResult<Option<ColumnBatch>> {
@@ -983,7 +1007,9 @@ struct VScanExec {
 }
 
 impl VScanExec {
-    fn open(db: &Database, node: &ScanNode) -> DbResult<VScanExec> {
+    /// Open the scan `node` plans, decoding the table columns `needed`
+    /// (`node.needed`, or more of them for a build side that is cached).
+    fn open(db: &Database, node: &ScanNode, needed: &[bool]) -> DbResult<VScanExec> {
         let counters = plan_counters();
         vector_counters(); // register the family even if adds stay zero
         counters.pushed_predicates.add(node.pred_count as u64);
@@ -991,16 +1017,16 @@ impl VScanExec {
         let source = match &node.access {
             Access::Full => {
                 counters.full_scans.incr();
-                VSource::Batch(db.batch_scan(&node.table)?.project(&node.needed))
+                VSource::Batch(db.batch_scan(&node.table)?.project(needed))
             }
             Access::ClusteredRange { lo, hi, .. } => {
                 counters.index_scans.incr();
-                VSource::Batch(db.batch_range_scan(&node.table, lo, hi)?.project(&node.needed))
+                VSource::Batch(db.batch_range_scan(&node.table, lo, hi)?.project(needed))
             }
             Access::Index { name, lo, hi, key_pred, covered, .. } => {
                 counters.index_scans.incr();
                 VSource::Index(Box::new(IndexSource {
-                    scan: db.index_scan(&node.table, name, lo, hi, &node.needed)?,
+                    scan: db.index_scan(&node.table, name, lo, hi, needed)?,
                     key_pred: key_pred.as_ref().map(|p| VPredicate::compile(p, &dtypes)),
                     covered: *covered,
                     entries: 0,
@@ -1095,26 +1121,35 @@ impl VScanExec {
     }
 }
 
-enum VRightSide {
+enum VRightSide<'p> {
     /// Columnar hash join: build-side directory over the native key
     /// representation, probe hashes the key column, output gathers.
     Hash { table: ColumnHashTable, left_col: usize },
     /// Nested loop / cross join. The ON expression (arbitrary) evaluates
     /// on materialized pair rows; `rows` is the inner side materialized
     /// once at build (empty for CROSS, which never evaluates rows).
-    Loop { batch: ColumnBatch, rows: Vec<Row>, on: Option<Expr> },
+    Loop { batch: ColumnBatch, rows: Vec<Row>, on: Option<&'p Expr> },
     /// Zone join: [`ZoneMap`] candidate probe, candidates restored to
-    /// build order, full ON re-evaluated per pair — identical output to
-    /// `Loop` over the same rows, strictly fewer pairs evaluated.
-    Zone { batch: ColumnBatch, rows: Vec<Row>, map: Arc<ZoneMap>, spec: ZoneJoinSpec, on: Expr },
+    /// build order and gathered into one batch, the full ON run over it as
+    /// a selection — identical output to `Loop` over the same rows,
+    /// strictly fewer pairs evaluated, no row materialized.
+    Zone { build: Arc<ZoneBuild>, spec: &'p ZoneJoinSpec, on: &'p VPredicate },
 }
 
-struct VJoinExec {
-    left: Box<VOp>,
-    side: VRightSide,
+/// Candidate pairs a zone join gathers before it runs its ON over them: a
+/// wide window can hand each of a batch's probe rows thousands.
+const ZONE_CANDIDATES: usize = 8 * BATCH;
+
+struct VJoinExec<'p> {
+    left: Box<VOp<'p>>,
+    node: &'p JoinNode,
+    /// The inner side, read when the first left row arrives.
+    side: Option<VRightSide<'p>>,
     tally: Tally,
-    /// Profile of the right-side scan drained at build time.
+    /// Profile of the right-side scan drained into `side`.
     build: OpProfile,
+    /// `side` came from the zone-join cache: no scan ran.
+    build_cached: bool,
     /// Nested-loop / zone-join pairs examined (profiled runs only).
     pairs: u64,
     /// Zone-join probes driven (profiled runs only).
@@ -1123,65 +1158,72 @@ struct VJoinExec {
     matched: u64,
 }
 
-impl VJoinExec {
+impl VJoinExec<'_> {
     fn next_batch(&mut self, db: &Database, profiled: bool) -> DbResult<Option<ColumnBatch>> {
-        let Some(batch) = self.left.next_batch(db, profiled)? else {
-            return Ok(None);
+        // An empty left batch joins to nothing, and builds nothing.
+        let batch = loop {
+            match self.left.next_batch(db, profiled)? {
+                None => return Ok(None),
+                Some(batch) if batch.is_empty() => continue,
+                Some(batch) => break batch,
+            }
         };
-        match &mut self.side {
+        let side = match &mut self.side {
+            Some(side) => side,
+            None => {
+                let (side, build, cached) = build_side(db, self.node, profiled)?;
+                (self.build, self.build_cached) = (build, cached);
+                self.side.insert(side)
+            }
+        };
+        match side {
             VRightSide::Hash { table, left_col } => {
                 exec::join_pairs().add(batch.len() as u64);
                 let out = table.probe(&batch, *left_col)?;
                 exec::hash_join_rows().add(out.len() as u64);
                 Ok(Some(out))
             }
-            VRightSide::Zone { batch: right, rows, map, spec, on } => {
-                let c = zonejoin_counters();
-                c.probes.add(batch.len() as u64);
-                if profiled {
-                    self.probes += batch.len() as u64;
-                }
+            VRightSide::Zone { build, spec, on } => {
+                let (zone, ra) = (batch.col(spec.left_zone), batch.col(spec.left_ra));
                 let mut li: Vec<u32> = Vec::new();
                 let mut ri: Vec<u32> = Vec::new();
-                let mut cands: Vec<u32> = Vec::new();
-                let left_arity = batch.num_cols();
-                let mut joined =
-                    Row(Vec::with_capacity(left_arity + rows.first().map_or(0, Row::arity)));
+                let mut out: Option<ColumnBatch> = None;
+                let (mut pairs, mut matched) = (0u64, 0u64);
                 for i in 0..batch.len() {
-                    cands.clear();
-                    if let Some((zlo, zhi, ra_lo, ra_hi)) = zone_probe_bounds(
-                        &batch.value(spec.left_zone, i),
-                        &batch.value(spec.left_ra, i),
-                        spec,
-                    ) {
-                        map.probe(zlo, zhi, ra_lo, ra_hi, &mut cands);
+                    if let Some((zlo, zhi, ra_lo, ra_hi)) = zone_probe_bounds(zone, ra, i, spec) {
+                        let from = ri.len();
+                        build.map.probe(zlo, zhi, ra_lo, ra_hi, &mut ri);
                         // Build (= nested-loop) order restores the exact
                         // output order of the reference pipeline.
-                        cands.sort_unstable();
+                        ri[from..].sort_unstable();
+                        li.resize(ri.len(), i as u32);
                     }
-                    c.pairs_examined.add(cands.len() as u64);
-                    exec::join_pairs().add(cands.len() as u64);
-                    if profiled {
-                        self.pairs += cands.len() as u64;
-                    }
-                    if cands.is_empty() {
+                    if ri.len() < ZONE_CANDIDATES && i + 1 < batch.len() {
                         continue;
                     }
-                    batch.read_row_into(i, &mut joined.0);
-                    for &j in cands.iter() {
-                        joined.0.truncate(left_arity);
-                        joined.0.extend_from_slice(&rows[j as usize].0);
-                        if on.matches(&joined)? {
-                            c.pairs_matched.incr();
-                            if profiled {
-                                self.matched += 1;
-                            }
-                            li.push(i as u32);
-                            ri.push(j);
-                        }
+                    let cands = ColumnBatch::concat_gather(&batch, &li, &build.batch, &ri);
+                    let sel = on.select(&cands)?;
+                    pairs += cands.len() as u64;
+                    matched += sel.len() as u64;
+                    let kept = if sel.len() == cands.len() { cands } else { cands.gather(&sel) };
+                    match &mut out {
+                        None => out = Some(kept),
+                        Some(out) => out.extend_from(&kept)?,
                     }
+                    li.clear();
+                    ri.clear();
                 }
-                Ok(Some(ColumnBatch::concat_gather(&batch, &li, right, &ri)))
+                let c = zonejoin_counters();
+                c.probes.add(batch.len() as u64);
+                c.pairs_examined.add(pairs);
+                c.pairs_matched.add(matched);
+                exec::join_pairs().add(pairs);
+                if profiled {
+                    self.probes += batch.len() as u64;
+                    self.pairs += pairs;
+                    self.matched += matched;
+                }
+                Ok(out)
             }
             VRightSide::Loop { batch: right, rows, on } => {
                 let n = right.len();
@@ -1223,14 +1265,14 @@ impl VJoinExec {
     }
 }
 
-struct VFilterExec {
-    input: Box<VOp>,
+struct VFilterExec<'p> {
+    input: Box<VOp<'p>>,
     vpred: VPredicate,
     tally: Tally,
     pruned: u64,
 }
 
-impl VFilterExec {
+impl VFilterExec<'_> {
     fn profile(&self) -> OpProfile {
         self.tally.with(vec![("pruned", self.pruned)])
     }
@@ -1255,7 +1297,7 @@ impl VFilterExec {
 /// projections read the buffers directly; computed expressions fall back
 /// to a reused scratch row.
 struct VProjectExec<'p> {
-    input: VOp,
+    input: VOp<'p>,
     exprs: &'p [Expr],
     tally: Tally,
 }
@@ -1300,7 +1342,7 @@ impl VProjectExec<'_> {
 /// [`GroupState::update_columns`] and emits the final group rows —
 /// zero-row global fill-in, HAVING, and slot remapping included.
 struct VAggregateExec<'p> {
-    input: VOp,
+    input: VOp<'p>,
     group_pos: Option<usize>,
     specs: &'p [exec::AggSpec],
     slots: &'p [Slot],

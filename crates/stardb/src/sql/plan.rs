@@ -40,6 +40,7 @@ use super::ast::{
     AggFunc, ColRef, Select, SelectItem, SqlBinOp, SqlExpr,
 };
 use super::physical::{OpProfile, PlanProfile};
+use crate::colbatch::VPredicate;
 use crate::db::Database;
 use crate::error::{DbError, DbResult};
 use crate::exec;
@@ -340,7 +341,9 @@ pub(crate) enum JoinStrategy {
     /// for the zone-band × RA-window candidates, then re-evaluate the
     /// *full* original conjunction `on` (bands included) on each — a
     /// strict candidate-pruning of the nested loop, byte-identical output.
-    Zone { spec: ZoneJoinSpec, on: Expr },
+    /// `on` is compiled here, against the joined row, so EXPLAIN can say
+    /// whether it runs as column kernels.
+    Zone { spec: ZoneJoinSpec, on: VPredicate },
     /// No join predicate at all.
     Cross,
 }
@@ -575,6 +578,7 @@ pub(crate) fn plan_select(db: &Database, s: &Select) -> DbResult<SelectPlan> {
         let right_off = tables[k + 1].offset;
         if let Some(spec) = zone_join_spec(&conjuncts, right_off, &dtypes) {
             let on = Expr::join_conjuncts(conjuncts).expect("zone join has conjuncts");
+            let on = VPredicate::compile(&on, &dtypes);
             join_nodes.push((JoinStrategy::Zone { spec, on }, None, 0));
             continue;
         }
@@ -1218,15 +1222,31 @@ impl SelectPlan {
                         "nested-loop inner join {} AS {} ({} rows) on predicate",
                         r.table, r.alias, r.table_rows
                     ),
-                    JoinStrategy::Zone { spec, .. } => format!(
-                        "zone join {} AS {} ({} rows) within ±{} zones, ra ±{} deg",
-                        r.table, r.alias, r.table_rows, spec.dz, spec.ra_w
+                    JoinStrategy::Zone { spec, on } => format!(
+                        "zone join {} AS {} ({} rows) within ±{} zones, ra ±{} deg, \
+                         on {} predicate",
+                        r.table,
+                        r.alias,
+                        r.table_rows,
+                        spec.dz,
+                        spec.ra_w,
+                        if on.is_compiled() { "compiled" } else { "interpreted" }
                     ),
                 },
                 jp.map(|p| &p.join),
             ));
-            if r.pred_count > 0 || r.access != Access::Full {
-                out.push(annotated(format!("  └ {}", scan_line(r)), jp.map(|p| &p.build)));
+            // A build side worth a line of its own: one that is not simply
+            // the whole table, or one that may not be scanned at all.
+            let zone = matches!(j.strategy, JoinStrategy::Zone { .. });
+            if r.pred_count > 0 || r.access != Access::Full || zone {
+                let line = format!("  └ {}", scan_line(r));
+                out.push(match jp {
+                    // Served from the zone-join cache: no scan ran.
+                    Some(p) if p.build_cached => {
+                        format!("{line}  (actual: cached rows={})", p.build.rows)
+                    }
+                    _ => annotated(line, jp.map(|p| &p.build)),
+                });
             }
             if j.post_count > 0 {
                 out.push(annotated(

@@ -631,6 +631,45 @@ fn reference_evaluator_agrees_with_the_planned_pipeline() {
     assert!(steps.iter().any(|s| s.contains("top-n heap")));
 }
 
+/// A window wide enough that one left batch meets more candidate pairs
+/// than the zone join gathers at once: the pairs come out in several
+/// flushes, in the nested loop's order all the same — also under an ON the
+/// kernels refuse, which the same route interprets.
+#[test]
+fn zone_join_flushes_candidates_in_nested_loop_order() {
+    let mut d = Database::new(DbConfig::in_memory());
+    for t in ["A", "B"] {
+        d.execute_sql(&format!(
+            "CREATE TABLE {t} (id BIGINT PRIMARY KEY, zoneid INT NOT NULL, ra FLOAT, \
+             tag VARCHAR(4))"
+        ))
+        .unwrap();
+        for id in 0..150 {
+            let ra = if id % 50 == 7 { "NULL".to_owned() } else { format!("{}.5", id % 90) };
+            let (zone, tag) = (id % 3, id % 4);
+            d.execute_sql(&format!("INSERT INTO {t} VALUES ({id}, {zone}, {ra}, 't{tag}')"))
+                .unwrap();
+        }
+    }
+    for (cut, compiled) in [("a.ra + b.ra > 60", true), ("a.tag <> b.tag", false)] {
+        let q = format!(
+            "SELECT a.id, b.id FROM A a JOIN B b ON b.zoneid BETWEEN a.zoneid - 2 AND a.zoneid + 2 \
+             AND b.ra BETWEEN a.ra - 100 AND a.ra + 100 AND {cut}"
+        );
+        let analyzed = explain(&mut d, &format!("EXPLAIN ANALYZE {q}"));
+        let on = if compiled { "on compiled predicate" } else { "on interpreted predicate" };
+        assert!(analyzed[1].contains(on), "{analyzed:?}");
+        assert!(analyzed[1].contains("pairs=21609"), "147 × 147 non-NULL RAs: {analyzed:?}");
+        let planned = d.execute_sql(&q).unwrap().rows().unwrap().1;
+        let naive = super::engine::execute_with(&mut d, &q, &PlanOptions::naive())
+            .unwrap()
+            .rows()
+            .unwrap()
+            .1;
+        assert!(planned.len() > 8192 && planned == naive, "{} pairs", planned.len());
+    }
+}
+
 // ---- aggregate type fidelity ------------------------------------------------
 
 #[test]

@@ -2,18 +2,21 @@
 //!
 //! A [`ZoneMap`] is an immutable struct-of-arrays index over any table (or
 //! drained join build side) carrying an integer zone column and a float RA
-//! column: entries sorted by `(zone, ra, ordinal)` with per-zone slice
-//! offsets, so a probe for `zone ∈ [zlo, zhi] ∧ ra ∈ [ra_lo, ra_hi]`
-//! walks the zone band and binary-searches the RA window inside each zone
-//! — the generalization of the maxbcg Zone-table snapshot cache to
-//! arbitrary `(ra, dec)`-keyed tables. Maps built from a full unfiltered
-//! table scan are cached per [`crate::Database`] keyed by
-//! `table_version` epochs; a probe returns *candidate ordinals* (a strict
-//! superset of the matching pairs), and the join re-evaluates its full
-//! conjunction on each, so the map changes cost, never answers.
+//! column: entries sorted by `(zone, ra, ordinal)` with one slice per
+//! occupied zone, so a probe for `zone ∈ [zlo, zhi] ∧ ra ∈ [ra_lo, ra_hi]`
+//! finds the band's first occupied zone, walks the band and searches the RA
+//! window inside each zone — the generalization of the maxbcg Zone-table
+//! snapshot cache to arbitrary `(ra, dec)`-keyed tables. A probe returns
+//! *candidate ordinals* (a strict superset of the matching pairs), and the
+//! join re-evaluates its full conjunction on each, so the map changes cost,
+//! never answers.
+//!
+//! A [`ZoneBuild`] is a map together with the rows its ordinals index, as
+//! one column batch. Builds drained by a full unfiltered table scan are
+//! cached per [`crate::Database`], keyed by `table_version` epochs, so a
+//! repeated zone join scans its inner table zero times.
 
 use crate::colbatch::ColumnBatch;
-use crate::value::Value;
 
 /// An immutable zone × RA candidate index over one row set. Ordinals
 /// index the rows in their original (scan) order, so probing a map built
@@ -27,10 +30,11 @@ pub struct ZoneMap {
     /// `(zone_col, ra_col)` the map indexes — part of the cache identity:
     /// a map built over different key columns is useless to a probe.
     cols: (usize, usize),
-    /// Lowest zone holding entries (0 for an empty map).
-    zone_min: i64,
-    /// Per-zone slice bounds: zone `zone_min + i` owns entries
-    /// `offsets[i] .. offsets[i + 1]`. Length `nzones + 1`.
+    /// The zones holding entries, ascending. Only these take space: two
+    /// rows in zones `i32::MIN` and `i32::MAX` make a two-zone directory.
+    zones: Vec<i64>,
+    /// Per-zone slice bounds: zone `zones[k]` owns entries
+    /// `offsets[k] .. offsets[k + 1]`. Length `zones.len() + 1`.
     offsets: Vec<u32>,
     /// Entry RA values, ascending within each zone.
     ra: Vec<f64>,
@@ -38,38 +42,35 @@ pub struct ZoneMap {
     ord: Vec<u32>,
 }
 
-/// Zone value of a row: integer zone columns only. Rows with NULL or
-/// non-integer zones are left out of the map — a NULL zone can never
-/// satisfy the zone-band BETWEEN, so dropping them keeps the candidate
-/// superset property.
-fn zone_of(v: &Value) -> Option<i64> {
-    match v {
-        Value::Int(i) => Some(i64::from(*i)),
-        Value::BigInt(i) => Some(*i),
-        _ => None,
-    }
+/// A zone join's build side: the drained rows (the columns the statements
+/// so far read; the rest absent) and the map over them. What the
+/// per-database cache holds per table.
+#[derive(Debug)]
+pub(crate) struct ZoneBuild {
+    pub map: ZoneMap,
+    pub batch: ColumnBatch,
 }
 
-/// RA value of a row, widened exactly as the expression evaluator widens
-/// (`f64::from` for REAL). NULL and NaN rows are left out: neither can
-/// satisfy the RA-window BETWEEN.
-fn ra_of(v: &Value) -> Option<f64> {
-    let f = match v {
-        Value::Float(f) => *f,
-        Value::Real(f) => f64::from(*f),
-        Value::Int(i) => f64::from(*i),
-        Value::BigInt(i) => *i as f64,
-        _ => return None,
-    };
-    if f.is_nan() {
-        None
-    } else {
-        Some(f)
+/// Past the last entry of the ascending `slice` that is `<= hi`, searched
+/// outward from the front: `O(log k)` for `k` such entries, where a
+/// whole-slice binary search pays `O(log n)` to find a window of one or two.
+fn upper_bound_from_front(slice: &[f64], hi: f64) -> usize {
+    let mut reach = 1;
+    while reach <= slice.len() && slice[reach - 1] <= hi {
+        reach *= 2;
     }
+    // `slice[reach / 2 - 1] <= hi` (or nothing is), and `slice[reach - 1]`
+    // exceeds it (or is past the end).
+    let from = reach / 2;
+    let to = (reach - 1).min(slice.len());
+    from + slice[from..to].partition_point(|&r| r <= hi)
 }
 
 impl ZoneMap {
-    /// Build from `(zone, ra)` pairs in ordinal order.
+    /// Build from `(zone, ra)` pairs in ordinal order. Rows with a NULL
+    /// zone, or a NULL or NaN RA, are left out: none can satisfy the zone
+    /// band or the RA window, so dropping them keeps the candidate
+    /// superset property.
     fn from_pairs(
         pairs: impl Iterator<Item = (Option<i64>, Option<f64>)>,
         cols: (usize, usize),
@@ -89,37 +90,29 @@ impl ZoneMap {
         entries.sort_unstable_by(|a, b| {
             a.0.cmp(&b.0).then(a.1.partial_cmp(&b.1).expect("no NaN in map")).then(a.2.cmp(&b.2))
         });
-        let (zone_min, zone_max) = match (entries.first(), entries.last()) {
-            (Some(f), Some(l)) => (f.0, l.0),
-            _ => (0, -1),
-        };
-        let nzones = (zone_max - zone_min + 1).max(0) as usize;
-        let mut offsets = vec![0u32; nzones + 1];
+        let mut zones = Vec::new();
+        let mut offsets = Vec::new();
         let mut ra = Vec::with_capacity(entries.len());
         let mut ord = Vec::with_capacity(entries.len());
-        let mut next_zone = 0usize;
         for (i, &(z, r, o)) in entries.iter().enumerate() {
-            let zi = (z - zone_min) as usize;
-            while next_zone <= zi {
-                offsets[next_zone] = i as u32;
-                next_zone += 1;
+            if zones.last() != Some(&z) {
+                zones.push(z);
+                offsets.push(i as u32);
             }
             ra.push(r);
             ord.push(o);
         }
-        while next_zone <= nzones {
-            offsets[next_zone] = entries.len() as u32;
-            next_zone += 1;
-        }
-        ZoneMap { epoch, cols, zone_min, offsets, ra, ord }
+        offsets.push(entries.len() as u32);
+        ZoneMap { epoch, cols, zones, offsets, ra, ord }
     }
 
     /// Build from a column-major batch: `zone_col` / `ra_col` are batch
-    /// column positions.
+    /// column positions. Only an integer column holds zones; the RA is
+    /// widened exactly as the expression evaluator widens it.
     pub fn from_batch(batch: &ColumnBatch, zone_col: usize, ra_col: usize, epoch: u64) -> ZoneMap {
+        let (zone, ra) = (batch.col(zone_col), batch.col(ra_col));
         ZoneMap::from_pairs(
-            (0..batch.len())
-                .map(|i| (zone_of(&batch.value(zone_col, i)), ra_of(&batch.value(ra_col, i)))),
+            (0..batch.len()).map(|i| (zone.int_at(i), ra.num_at(i))),
             (zone_col, ra_col),
             epoch,
         )
@@ -151,19 +144,23 @@ impl ZoneMap {
     /// zone slice; callers needing global ordinal order sort afterwards.
     /// Returns the number of candidates pushed.
     pub fn probe(&self, zlo: i64, zhi: i64, ra_lo: f64, ra_hi: f64, out: &mut Vec<u32>) -> usize {
-        let nzones = self.offsets.len() as i64 - 1;
-        let lo = zlo.max(self.zone_min);
-        let hi = zhi.min(self.zone_min + nzones - 1);
         let before = out.len();
-        let mut z = lo;
-        while z <= hi {
-            let zi = (z - self.zone_min) as usize;
-            let (s, e) = (self.offsets[zi] as usize, self.offsets[zi + 1] as usize);
-            let slice = &self.ra[s..e];
-            let a = s + slice.partition_point(|&r| r < ra_lo);
-            let b = s + slice.partition_point(|&r| r <= ra_hi);
+        // Distinct ascending integers: `zones[k] >= zones[0] + k`, so the
+        // band's first occupied zone sits at or before index `zlo -
+        // zones[0]` — exactly there when the zones before it are
+        // contiguous, which a survey's are.
+        let Some(&z0) = self.zones.first() else { return 0 };
+        let cap = zlo.saturating_sub(z0).clamp(0, self.zones.len() as i64) as usize;
+        let first = match cap {
+            0 => 0,
+            _ if self.zones[cap - 1] < zlo => cap,
+            _ => self.zones[..cap].partition_point(|&z| z < zlo),
+        };
+        for (k, _) in self.zones[first..].iter().enumerate().take_while(|&(_, &z)| z <= zhi) {
+            let (s, e) = (self.offsets[first + k] as usize, self.offsets[first + k + 1] as usize);
+            let a = s + self.ra[s..e].partition_point(|&r| r < ra_lo);
+            let b = a + upper_bound_from_front(&self.ra[a..e], ra_hi);
             out.extend_from_slice(&self.ord[a..b]);
-            z += 1;
         }
         out.len() - before
     }
@@ -208,6 +205,36 @@ mod tests {
         assert!(empty.is_empty());
     }
 
+    /// Only occupied zones take space, however far apart: every band over a
+    /// directory with gaps — the `i32` extremes included — finds exactly the
+    /// entries a scan of the pairs finds.
+    #[test]
+    fn a_sparse_directory_answers_every_band() {
+        let (min, max) = (i64::from(i32::MIN), i64::from(i32::MAX));
+        let data: Vec<(i64, f64)> = [min, min, -7, 5, 6, 7, 9, 1000, max]
+            .iter()
+            .enumerate()
+            .map(|(i, &z)| (z, i as f64))
+            .collect();
+        let m = map(&data);
+        assert_eq!((m.len(), m.zones.len(), m.offsets.len()), (9, 8, 9));
+        let edges = [i64::MIN, min, min + 1, -8, -7, 4, 5, 6, 8, 9, 10, 999, 1001, max, i64::MAX];
+        for &zlo in &edges {
+            for &zhi in &edges {
+                let mut got = Vec::new();
+                let n = m.probe(zlo, zhi, 0.5, 7.5, &mut got);
+                got.sort_unstable();
+                let want: Vec<u32> = (0..data.len() as u32)
+                    .filter(|&i| {
+                        let (z, r) = data[i as usize];
+                        (zlo..=zhi).contains(&z) && (0.5..=7.5).contains(&r)
+                    })
+                    .collect();
+                assert_eq!((n, &got), (want.len(), &want), "zones {zlo}..={zhi}");
+            }
+        }
+    }
+
     #[test]
     fn null_and_nan_rows_are_excluded() {
         let m = ZoneMap::from_pairs(
@@ -230,7 +257,7 @@ mod tests {
     #[test]
     fn batch_builder_indexes_the_named_columns() {
         use crate::row::Row;
-        use crate::value::DataType;
+        use crate::value::{DataType, Value};
         let rows = vec![
             Row(vec![Value::Int(12), Value::Float(30.0)]),
             Row(vec![Value::Int(10), Value::Float(20.0)]),

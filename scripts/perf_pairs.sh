@@ -1,32 +1,44 @@
 #!/bin/sh
-# A/B pairs of one perfsuite workload on two checkouts: the rule a change
-# that claims a gain is judged by (at least ten pairs, alternating which
-# side runs first; a gain needs nine pairs in ten won and medians further
-# apart than the parent's own quartiles).
+# A/B pairs of perfsuite workloads on two checkouts: the rule a change that
+# claims a gain is judged by (at least ten pairs, alternating which side
+# runs first; a gain needs nine pairs in ten won and medians further apart
+# than the parent's own quartiles) — and, with the other workloads listed
+# too, the "did not move" rows that go beside the claim.
 #
-# Usage: scripts/perf_pairs.sh <parent-checkout> <change-checkout> <workload> [pairs=10] [trace=1]
+# Usage: scripts/perf_pairs.sh <parent-checkout> <change-checkout> <workloads> [pairs=10] [trace=1]
 #
-# Builds each checkout's perfsuite offline into that checkout's own
-# perfsuite/target, runs pair i of both with seed 2005 + i, and reads only
-# the last stdout line of each run. Prints, per end-to-end metric and side,
-# the quartiles over the pairs and the pairs won (all four metrics are
-# lower-is-better; a tie goes to neither), then attempted/failed
-# operations. Then, unless the fifth argument is 0, one `--seed 2005
-# --trace 1` pass per side and every per-layer metric whose value differs
-# between the sides, as `name parent change ratio` — where the difference
-# came from. Counts repeat exactly; timings are one sample each. Exits 1 if
-# any run did not report "correct": true.
+# <workloads> is one workload, a comma-separated list of them, or `all`
+# (every workload the change's BENCHMARK.json names); one table is printed
+# per workload, in the order given. Builds each checkout's perfsuite
+# offline into that checkout's own perfsuite/target, runs pair i of both
+# with seed 2005 + i, and reads only the last stdout line of each run.
+# Prints, per end-to-end metric and side, the quartiles over the pairs and
+# the pairs won (all four metrics are lower-is-better; a tie goes to
+# neither), then attempted/failed operations. Then, unless the fifth
+# argument is 0, one `--seed 2005 --trace 1` pass per side and every
+# per-layer metric whose value differs between the sides, as `name parent
+# change ratio` — where the difference came from. Counts repeat exactly;
+# timings are one sample each. Exits 1 if any run did not report
+# "correct": true.
 set -eu
 
 if [ "$#" -lt 3 ] || [ "$#" -gt 5 ]; then
-  echo "usage: $0 <parent-checkout> <change-checkout> <workload> [pairs=10] [trace=1]" >&2
+  echo "usage: $0 <parent-checkout> <change-checkout> <workload[,workload...]|all> [pairs=10] [trace=1]" >&2
   exit 2
 fi
 parent=$(cd "$1" && pwd)
 change=$(cd "$2" && pwd)
-workload=$3
 pairs=${4:-10}
 trace=${5:-1}
+if [ "$3" = all ]; then
+  workloads=$(sed -n 's/.*{"name": "\([a-z_0-9]*\)", "why".*/\1/p' "$change/BENCHMARK.json")
+else
+  workloads=$(echo "$3" | tr ',' ' ')
+fi
+if [ -z "$workloads" ]; then
+  echo "$0: no workload named" >&2
+  exit 2
+fi
 
 for side in "$parent" "$change"; do
   CARGO_TARGET_DIR="$side/perfsuite/target" \
@@ -41,29 +53,32 @@ mkdir -p "$scratch"
 trap 'rm -rf "$scratch"' EXIT INT TERM
 cd "$scratch"
 
-i=0
-while [ "$i" -lt "$pairs" ]; do
-  seed=$((2005 + i))
-  if [ $((i % 2)) -eq 0 ]; then order="parent change"; else order="change parent"; fi
-  for side in $order; do
-    if [ "$side" = parent ]; then bin=$parent_bin; else bin=$change_bin; fi
-    line=$("$bin" --workload "$workload" --seed "$seed" | tail -n 1) || true
-    printf '%s %s\n' "$side" "$line" >> runs
-    echo "pair $i seed $seed $side: $line" >&2
+status=0
+for workload in $workloads; do
+  i=0
+  : > runs
+  while [ "$i" -lt "$pairs" ]; do
+    seed=$((2005 + i))
+    if [ $((i % 2)) -eq 0 ]; then order="parent change"; else order="change parent"; fi
+    for side in $order; do
+      if [ "$side" = parent ]; then bin=$parent_bin; else bin=$change_bin; fi
+      line=$("$bin" --workload "$workload" --seed "$seed" | tail -n 1) || true
+      printf '%s %s\n' "$side" "$line" >> runs
+      echo "$workload pair $i seed $seed $side: $line" >&2
+    done
+    i=$((i + 1))
   done
-  i=$((i + 1))
-done
 
-: > traced
-if [ "$trace" != 0 ]; then
-  for side in parent change; do
-    if [ "$side" = parent ]; then bin=$parent_bin; else bin=$change_bin; fi
-    line=$("$bin" --workload "$workload" --seed 2005 --trace 1 | tail -n 1) || true
-    printf '%s %s\n' "$side" "$line" >> traced
-  done
-fi
+  : > traced
+  if [ "$trace" != 0 ]; then
+    for side in parent change; do
+      if [ "$side" = parent ]; then bin=$parent_bin; else bin=$change_bin; fi
+      line=$("$bin" --workload "$workload" --seed 2005 --trace 1 | tail -n 1) || true
+      printf '%s %s\n' "$side" "$line" >> traced
+    done
+  fi
 
-awk -v workload="$workload" -v pairs="$pairs" '
+  awk -v workload="$workload" -v pairs="$pairs" '
 # The number after `"name": ` or `"name": {"value": ` in a result line.
 function field(line, name,    s) {
   if (!match(line, "\"" name "\": (\\{\"value\": )?")) return ""
@@ -132,4 +147,7 @@ END {
     }
   }
   if (wrong) { printf "%d run(s) did not report \"correct\": true\n", wrong; exit 1 }
-}' runs traced
+}' runs traced || status=1
+  echo
+done
+exit "$status"

@@ -3,10 +3,10 @@
 //! the `Row` ↔ `ColumnBatch` round trip losslessly (compared on the wire
 //! encoding, so NaN and -0.0 bit patterns count), and compiled predicate
 //! kernels must select exactly the rows the row-at-a-time `Expr`
-//! evaluator accepts.
+//! evaluator accepts — generated numeric expression trees included.
 
 use proptest::prelude::*;
-use stardb::{BinOp, ColumnBatch, DataType, Expr, Row, Value, VPredicate};
+use stardb::{BinOp, ColumnBatch, DataType, DbResult, Expr, Func, Row, Value, VPredicate};
 
 /// Entropy for one cell, interpreted per the column's declared type:
 /// `pick` routes between NULL, forced extremes, and the generic payload.
@@ -106,10 +106,83 @@ fn build_pred(dtypes: &[DataType], sel: u64, ilit: i64, flit: f64, slit: &str) -
                 .and(Expr::Not(Box::new(Expr::IsNull(Box::new(col))))),
             true,
         ),
-        // Arithmetic inside the comparison: provably outside the kernel
-        // grammar, must take the whole-predicate fallback.
-        _ => (col.bin(BinOp::Add, Expr::lit(1i64)).bin(op, Expr::lit(flit)), false),
+        // Arithmetic inside the comparison: a numeric operand tree.
+        _ => (col.bin(BinOp::Add, Expr::lit(1i64)).bin(op, Expr::lit(flit)), true),
     }
+}
+
+/// The column layout of the numeric-kernel property: all four numeric
+/// types, and a text column for the operands the kernels must refuse.
+const NUMERIC_AND_TEXT: [DataType; 5] =
+    [DataType::BigInt, DataType::Int, DataType::Real, DataType::Float, DataType::Text];
+
+/// Generated draws, read off in order and around again.
+struct Tape<'a> {
+    draws: &'a [u32],
+    at: usize,
+}
+
+impl Tape<'_> {
+    fn next(&mut self) -> usize {
+        self.at += 1;
+        self.draws[(self.at - 1) % self.draws.len()] as usize
+    }
+}
+
+/// A numeric operand tree over the four numeric columns. `poison` plants,
+/// at the first leaf drawn, what the kernels must refuse.
+fn num_tree(tape: &mut Tape, depth: usize, poison: &mut Option<Expr>) -> Expr {
+    let mut sub = |tape: &mut Tape| Box::new(num_tree(tape, depth - 1, poison));
+    match if depth == 0 { tape.next() % 2 } else { tape.next() % 9 } {
+        0 => poison.take().unwrap_or(Expr::Col(tape.next() % 4)),
+        1 => poison.take().unwrap_or(Expr::Lit(
+            [
+                Value::Float(0.0),
+                Value::Float(-0.0),
+                Value::Float(0.5),
+                Value::Float(-3.0),
+                Value::Float(f64::INFINITY),
+                Value::Real(0.1),
+                Value::Int(2),
+                Value::BigInt(-1),
+                Value::BigInt((1 << 53) + 1),
+            ][tape.next() % 9]
+                .clone(),
+        )),
+        op @ 2..=5 => {
+            let op = [BinOp::Add, BinOp::Sub, BinOp::Mul, BinOp::Div][op - 2];
+            Expr::Bin(op, sub(tape), sub(tape))
+        }
+        6 => Expr::Power(sub(tape), sub(tape)),
+        _ => {
+            let f = [Func::Abs, Func::Log, Func::Floor, Func::Sqrt][tape.next() % 4];
+            Expr::Call(f, sub(tape))
+        }
+    }
+}
+
+/// Comparisons and BETWEENs over [`num_tree`]s, under NOT / AND / OR.
+fn num_pred(tape: &mut Tape, depth: usize, poison: &mut Option<Expr>) -> Expr {
+    let cmp = [BinOp::Lt, BinOp::Le, BinOp::Gt, BinOp::Ge, BinOp::Eq, BinOp::Ne];
+    let mut num = |tape: &mut Tape| num_tree(tape, 3, poison);
+    match if depth == 0 { tape.next() % 2 } else { tape.next() % 5 } {
+        0 => num(tape).bin(cmp[tape.next() % 6], num(tape)),
+        1 => num(tape).between(num(tape), num(tape)),
+        2 => Expr::Not(Box::new(num_pred(tape, depth - 1, poison))),
+        3 => num_pred(tape, depth - 1, poison).and(num_pred(tape, depth - 1, poison)),
+        _ => num_pred(tape, depth - 1, poison).bin(BinOp::Or, num_pred(tape, depth - 1, poison)),
+    }
+}
+
+/// What evaluating `pred` row by row selects, or the first error.
+fn interpreted(pred: &Expr, rows: &[Row]) -> DbResult<Vec<u32>> {
+    let mut sel = Vec::new();
+    for (i, row) in rows.iter().enumerate() {
+        if pred.matches(row)? {
+            sel.push(i as u32);
+        }
+    }
+    Ok(sel)
 }
 
 proptest! {
@@ -184,5 +257,32 @@ proptest! {
             }
             prop_assert_eq!(&got, &want, "selection diverged for {:?}", expr);
         }
+    }
+
+    /// Numeric kernels are the interpreter, bit for bit: a generated
+    /// comparison tree over all four numeric types — NULL, NaN, signed
+    /// zeros and infinities, the integer extremes, `i64`s no `f64` holds,
+    /// `REAL` widening, division by zero, `LOG`/`SQRT` out of domain —
+    /// compiles and selects exactly what `Expr::matches` accepts; with a
+    /// text column or a NULL literal anywhere in it, it stays on the
+    /// interpreter and returns the interpreter's answer or type error.
+    #[test]
+    fn numeric_kernels_agree_with_the_interpreter(
+        nrows in 0usize..64,
+        pool in prop::collection::vec(cell_seed(), 96usize),
+        draws in prop::collection::vec(any::<u32>(), 48usize),
+        refuse in 0u8..3,
+    ) {
+        let rows = build_rows(&NUMERIC_AND_TEXT, nrows, &pool);
+        let batch = ColumnBatch::from_rows(&NUMERIC_AND_TEXT, &rows).unwrap();
+        let mut poison = match refuse {
+            0 => None,
+            1 => Some(Expr::Col(4)),
+            _ => Some(Expr::Lit(Value::Null)),
+        };
+        let pred = num_pred(&mut Tape { draws: &draws, at: 0 }, 2, &mut poison);
+        let vp = VPredicate::compile(&pred, &NUMERIC_AND_TEXT);
+        prop_assert_eq!(vp.is_compiled(), refuse == 0, "compile contract violated for {:?}", pred);
+        prop_assert_eq!(vp.select(&batch), interpreted(&pred, &rows), "diverged for {:?}", pred);
     }
 }

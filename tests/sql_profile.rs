@@ -97,6 +97,36 @@ fn last_profile_mirrors_the_statement_that_ran() {
     assert_eq!(next.plan.rows_out, 1);
 }
 
+/// A join drains its build side inside the pull that brings its first left
+/// row, so its inclusive time holds the drain; `stardb.op.hash_join.ns` is
+/// still the join's own time — inclusive minus its input's, minus the
+/// drain's, which `stardb.op.scan.ns` already counts.
+#[test]
+fn join_self_time_leaves_out_its_build_side_drain() {
+    let _g = GUARD.lock().unwrap_or_else(|p| p.into_inner());
+    obs::set_enabled(true);
+    let mut d = corpus_db();
+    let (join_ns, scan_ns) =
+        (obs::counter("stardb.op.hash_join.ns"), obs::counter("stardb.op.scan.ns"));
+    let before = (join_ns.get(), scan_ns.get());
+    d.execute_sql("SELECT g.objid, m.v_int FROM Galaxy g JOIN Mixed m ON g.objid = m.k_big")
+        .unwrap();
+    let plan = d.last_profile().expect("profiled").plan;
+    let join = &plan.joins[0];
+    assert!(join.hashed && !join.build_cached);
+    assert!(join.build.rows == 220 && join.build.time_ns > 0, "{:?}", join.build);
+    assert!(join.join.time_ns > plan.scan.time_ns + join.build.time_ns, "{join:?}");
+    assert_eq!(
+        join_ns.get() - before.0,
+        join.join.time_ns - plan.scan.time_ns - join.build.time_ns
+    );
+    assert_eq!(scan_ns.get() - before.1, plan.scan.time_ns + join.build.time_ns);
+    assert!(
+        plan.scan.time_ns + join.build.time_ns + (join_ns.get() - before.0) <= plan.wall_ns,
+        "self times add up to no more than the run"
+    );
+}
+
 /// Turning telemetry off removes profiling entirely: results stay
 /// byte-identical, no profile is retained, and the op counters do not
 /// move. EXPLAIN ANALYZE still profiles — it was asked for explicitly.
